@@ -14,7 +14,7 @@ import io
 import json
 import sys
 import time
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .curves import Curve, on_curve, parse_point
@@ -26,7 +26,7 @@ from .engine import (
     scan,
 )
 from .errors import RankJumpError, SearchExhausted
-from .families import WeierstrassPencil, family_from_json, validate_family
+from .families import family_from_json, validate_family
 from .heights import canonical_height
 from .polynomials import parse_poly
 from .rationals import parse_rational
@@ -34,6 +34,17 @@ from .rationals import parse_rational
 
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
+
+
+def _tol(text: str) -> Decimal:
+    """--tol: a finite decimal > 0."""
+    try:
+        tol = Decimal(text)
+    except InvalidOperation:
+        tol = None
+    if tol is None or not tol.is_finite() or tol <= 0:
+        raise argparse.ArgumentTypeError(f"must be a finite decimal > 0, got {text!r}")
+    return tol
 
 
 def _load_family(path: str):
@@ -73,7 +84,7 @@ def cmd_scan(args) -> int:
             print(f"error: [{f.code}] {f.message}", file=sys.stderr)
         return 2
     t0 = time.monotonic()
-    report = scan(fam, args.bound, args.mode, Decimal(args.tol), jobs=args.jobs)
+    report = scan(fam, args.bound, args.mode, args.tol, jobs=args.jobs)
     params = report.certified_params()
     dens = density_report(fam, params)
     if args.format == "json":
@@ -103,17 +114,13 @@ def cmd_scan(args) -> int:
 
 def cmd_billing(args) -> int:
     p = parse_poly(args.p.split(","))
-    cert = billing_build(p, args.rank, args.bound, Decimal(args.tol))
+    cert = billing_build(p, args.rank, args.bound)
     _emit(_json_bytes(cert.to_json()), args.out)
     return 0
 
 
 def cmd_neron(args) -> int:
-    fam = _load_family(args.family)
-    if not isinstance(fam, WeierstrassPencil) or not fam.sections:
-        print("error: neron needs a weierstrass_pencil family with sections", file=sys.stderr)
-        return 2
-    report = neron_check(fam, args.bound, Decimal(args.tol))
+    report = neron_check(_load_family(args.family), args.bound, args.tol)
     _emit(_json_bytes(report.to_json()), args.out)
     return 0
 
@@ -125,7 +132,7 @@ def cmd_height(args) -> int:
     if not on_curve(C, P):
         print("error: point is not on the curve", file=sys.stderr)
         return 2
-    est = canonical_height(C, P, Decimal(args.tol))
+    est = canonical_height(C, P, args.tol)
     sys.stdout.write(_json_bytes(est.to_json()).decode("ascii"))
     return 0
 
@@ -145,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--family", required=True)
     s.add_argument("--bound", required=True, type=int)
     s.add_argument("--mode", choices=["total-first", "fiber-first"], default="total-first")
-    s.add_argument("--tol", default="1e-4")
+    s.add_argument("--tol", type=_tol, default="1e-4")
     s.add_argument("--out", default=None)
     s.add_argument("--format", choices=["csv", "json"], default="csv")
     s.add_argument("--jobs", type=int, default=1)
@@ -155,21 +162,20 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", required=True, help="ascending coefficients, e.g. 0,-1,0,1 for x^3-x")
     b.add_argument("--rank", required=True, type=int)
     b.add_argument("--bound", required=True, type=int)
-    b.add_argument("--tol", default="1e-4")
     b.add_argument("--out", default=None)
     b.set_defaults(fn=cmd_billing)
 
     n = sub.add_parser("neron", help="empirical specialization-injectivity check")
     n.add_argument("--family", required=True)
     n.add_argument("--bound", required=True, type=int)
-    n.add_argument("--tol", default="1e-4")
+    n.add_argument("--tol", type=_tol, default="1e-4")
     n.add_argument("--out", default=None)
     n.set_defaults(fn=cmd_neron)
 
     h = sub.add_parser("height", help="canonical height of one point")
     h.add_argument("--curve", required=True, help="A,B as rationals")
     h.add_argument("--point", required=True, help='"x,y" or "inf"')
-    h.add_argument("--tol", default="1e-6")
+    h.add_argument("--tol", type=_tol, default="1e-6")
     h.set_defaults(fn=cmd_height)
     return ap
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import BadReduction, PointNotOnCurve, SingularCurve
-from .factorization import factorize
+from .factorization import factorize, is_probable_prime
 from .rationals import format_rational, parse_rational
 
 # Every rational torsion point has order <= 12 (uniform bound over Q).
@@ -287,21 +287,10 @@ def good_primes(C: Curve, count: int, start: int = 3) -> list[int]:
     out: list[int] = []
     p = start
     while len(out) < count:
-        if is_prime_small(p) and disc % p != 0:
+        if is_probable_prime(p) and disc % p != 0:
             out.append(p)
         p += 2
     return out
-
-
-def is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,10 @@ def density_report(f: Family, params: Sequence[Fraction]) -> DensityReport:
         for p in DEFAULT_PRIMES
         for k in range(1, DEFAULT_PADIC_DEPTH + 1)
     )
-    comp = component_report(f, params) if isinstance(f, TwistQuadratic) else None
+    try:
+        comp = component_report(f, params)
+    except WrongFamilyKind:
+        comp = None
     return DensityReport(
         distinct_params=len(set(params)),
         histogram=hist,

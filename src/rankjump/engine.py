@@ -17,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .curves import Curve, Point, is_torsion, on_curve
 from .errors import (
     DegenerateFiber,
+    InvalidCertificate,
     PointNotOnCurve,
     PoleAtPoint,
     SearchExhausted,
-    ToleranceUnreachable,
 )
 from .factorization import (
     SquareClass,
@@ -108,36 +108,21 @@ CSV_COLUMNS = [
 ]
 
 
-def _gram_with_escalation(C: Curve, pts: Sequence[Point], tol: Decimal) -> GramCertificate:
-    """One retry at tol/10 when the determinant interval straddles zero.
-
-    Dependent sets stay inconclusive forever; independent sets usually
-    resolve on the first pass because refinement is adaptive.
-    """
-    g = gram_certify(C, pts, tol)
-    if g.certified:
-        return g
-    try:
-        return gram_certify(C, pts, tol / 10)
-    except ToleranceUnreachable:
-        return g
-
-
 def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> WitnessCertificate:
     """Assemble and certify the point set {specialized sections} + {witness}.
 
     A torsion witness short-circuits to jump = False; otherwise the full
     Gram certificate is attempted and, on failure, retried on the witness
-    singleton (a partial certificate beats none).
+    singleton (a partial certificate beats none).  Gram refinement may go
+    down to tol/10; it stops at the first positive determinant, so most
+    independent sets resolve well above that depth.
     """
     tol_d = _as_decimal(tol)
     fid = family_id(f)
     declared = declared_generic_rank(f)
     fib = fiber_at(f, w.param)
     C = fib.curve
-    sections = (
-        specialize_sections(f, w.param) if isinstance(f, WeierstrassPencil) else []
-    )
+    sections = specialize_sections(f, w.param)
     live_sections = [P for P in sections if not is_torsion(C, P)]
 
     if not on_curve(C, w.witness):
@@ -147,7 +132,7 @@ def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> Witnes
         gram = None
         lb = 0
         if live_sections:
-            gram = _gram_with_escalation(C, live_sections, tol_d)
+            gram = gram_certify(C, live_sections, tol_d / 10)
             lb = len(live_sections) if gram.certified else 0
         return WitnessCertificate(
             family_id=fid,
@@ -166,12 +151,12 @@ def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> Witnes
     pts = list(live_sections)
     if all((P.x, P.y) != (w.witness.x, w.witness.y) for P in pts):
         pts.append(w.witness)
-    gram = _gram_with_escalation(C, pts, tol_d)
+    gram = gram_certify(C, pts, tol_d / 10)
     if gram.certified:
         lb = len(pts)
     else:
         if len(pts) > 1:
-            gram = _gram_with_escalation(C, [w.witness], tol_d)
+            gram = gram_certify(C, [w.witness], tol_d / 10)
             lb = 1 if gram.certified else 0
         else:
             lb = 0
@@ -338,7 +323,7 @@ def neron_check(f: WeierstrassPencil, bound: int, tol=DEFAULT_SCAN_TOL) -> Neron
         except DegenerateFiber:
             continue
         sampled += 1
-        gram = _gram_with_escalation(fib.curve, pts, tol_d)
+        gram = gram_certify(fib.curve, pts, tol_d / 10)
         if gram.certified:
             certified += 1
             continue
@@ -405,23 +390,33 @@ class BillingCertificate:
         }
 
     def revalidate(self) -> None:
-        """Re-check every exact claim; raises AssertionError on any failure."""
-        assert len(self.classes) == self.r == self.rank_bound
-        ok, _ = square_class_independent(self.classes)
-        assert ok, "classes are not independent"
+        """Re-check every exact claim; raises InvalidCertificate on any failure."""
+        _require(
+            len(self.classes) == len(self.witnesses) == self.r == self.rank_bound,
+            "class, witness, r and rank_bound counts disagree",
+        )
+        _require(square_class_independent(self.classes)[0], "classes are not independent")
+        A, B = self.curve.A, self.curve.B
         for cls, wit in zip(self.classes, self.witnesses):
             d = Fraction(cls.squarefree)
-            A, B = self.curve.A, self.curve.B
-            assert wit.twist_curve.A == A * d * d and wit.twist_curve.B == B * d**3
-            assert on_curve(wit.twist_curve, wit.point), "witness off its twist"
-            assert not is_torsion(wit.twist_curve, wit.point), "witness is torsion"
+            _require(
+                wit.twist_curve.A == A * d * d and wit.twist_curve.B == B * d**3,
+                "twist curve does not match its class",
+            )
+            _require(on_curve(wit.twist_curve, wit.point), "witness off its twist")
+            _require(not is_torsion(wit.twist_curve, wit.point), "witness is torsion")
             # d * s^2 = q(X/d) on the depressed base model: the twist equation
             # pulled back through (x, y) -> (d x, d^2 y).
             xq = wit.point.x / d
-            assert d * wit.s**2 == xq**3 + A * xq + B, "twist pullback failed"
+            _require(d * wit.s**2 == xq**3 + A * xq + B, "twist pullback failed")
 
 
-def billing_build(p: Poly, r: int, bound: int, tol=DEFAULT_SCAN_TOL) -> BillingCertificate:
+def _require(holds: bool, claim: str) -> None:
+    if not holds:
+        raise InvalidCertificate(claim)
+
+
+def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
     """Find r independent square classes d with a certified non-torsion
     point on each twist, by walking x0 = 1, 2, ..., bound.
 
@@ -446,10 +441,10 @@ def billing_build(p: Poly, r: int, bound: int, tol=DEFAULT_SCAN_TOL) -> BillingC
             continue
         d = Fraction(cls.squarefree)
         s = is_rational_square(val / d)
-        assert s is not None
+        _require(s is not None, f"p({n}) / {cls.squarefree} is not a square")
         twist = Curve(A * d * d, B * d**3)
         P = Point(d * (x0 + shift), d * d * s)
-        assert on_curve(twist, P)
+        _require(on_curve(twist, P), f"twist point from x0 = {n} is off its twist")
         if is_torsion(twist, P):
             continue
         if any(c.squarefree == cls.squarefree for c in classes):
@@ -465,7 +460,7 @@ def billing_build(p: Poly, r: int, bound: int, tol=DEFAULT_SCAN_TOL) -> BillingC
         raise SearchExhausted(
             f"found {len(classes)} of {r} independent twist classes with x0 <= {bound}"
         )
-    vecs, basis = class_vectors(classes)
+    _, basis = class_vectors(classes)
     proof = {
         "prime_basis": basis,
         "vectors": [

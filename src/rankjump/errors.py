@@ -67,3 +67,7 @@ class WrongFamilyKind(RankJumpError):
 
 class FamilyFormatError(RankJumpError):
     """A family description (JSON or CLI) does not match the schema."""
+
+
+class InvalidCertificate(RankJumpError):
+    """A certificate's exact claim does not hold on re-checking."""

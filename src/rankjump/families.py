@@ -11,14 +11,19 @@ with s the depression shift.  The cubic pencil fiber x^3 + y^3 = c,
 c = -(lam^3 + 1), becomes Y^2 = X^3 - 432c^2 under the classical map
 X = 12c/(x+y), Y = 36c(x-y)/(x+y); x + y = 0 lands on the 3-torsion
 packet of the zero section and is skipped.
+
+Each family kind is one frozen dataclass that owns what is specific to
+it: its identifier, validation findings, fiber at a parameter, witness
+walks and sections.  Its JSON fields are its dataclass fields.  The
+module functions dispatch to the kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Optional, Union
+from math import gcd
+from typing import Iterator, Optional
 
 from .curves import Curve, Point, on_curve
 from .errors import (
@@ -28,7 +33,6 @@ from .errors import (
     NotOnTotalSpace,
     PoleAtPoint,
     SingularCurve,
-    WrongFamilyKind,
 )
 from .polynomials import (
     Poly,
@@ -39,6 +43,7 @@ from .polynomials import (
     is_separable_cubic,
     is_squarefree,
     parse_poly,
+    poly,
     poly_eval,
     poly_text,
     ratfunc,
@@ -55,81 +60,6 @@ from .rationals import (
 
 
 @dataclass(frozen=True)
-class TwistLinear:
-    """Fiber at t0: t0 * y^2 = p(x)."""
-
-    p: Poly
-    generic_rank: int = 0
-    kind = "twist_linear"
-
-
-@dataclass(frozen=True)
-class TwistQuadratic:
-    """d(t) = c(t^2 - a); fiber at t0: d(t0) * y^2 = p(x)."""
-
-    c: Fraction
-    a: Fraction
-    p: Poly
-    generic_rank: int = 0
-    kind = "twist_quadratic"
-
-
-@dataclass(frozen=True)
-class TwistPoly:
-    """General polynomial twist d(t) * y^2 = p(x)."""
-
-    d: Poly
-    p: Poly
-    generic_rank: int = 0
-    kind = "twist_poly"
-
-
-@dataclass(frozen=True)
-class CubicPencil:
-    """x^3 + y^3 + (lam^3 + 1) t^3 = 0 with zero section (1, -1, 0)."""
-
-    generic_rank: int = 0
-    kind = "cubic_pencil"
-
-
-@dataclass(frozen=True)
-class WeierstrassPencil:
-    """Y^2 = X^3 + A(lam) X + B(lam) with declared sections."""
-
-    A: RatFunc
-    B: RatFunc
-    sections: tuple[tuple[RatFunc, RatFunc], ...] = ()
-    generic_rank: Optional[int] = None
-    kind = "weierstrass_pencil"
-
-
-Family = Union[TwistLinear, TwistQuadratic, TwistPoly, CubicPencil, WeierstrassPencil]
-
-TWIST_KINDS = (TwistLinear, TwistQuadratic, TwistPoly)
-
-
-def declared_generic_rank(f: Family) -> int:
-    if isinstance(f, WeierstrassPencil):
-        return len(f.sections) if f.generic_rank is None else f.generic_rank
-    return f.generic_rank
-
-
-def family_id(f: Family) -> str:
-    if isinstance(f, TwistLinear):
-        return f"twist_linear[p={poly_text(f.p)}]"
-    if isinstance(f, TwistQuadratic):
-        return (
-            f"twist_quadratic[c={format_rational(f.c)},a={format_rational(f.a)},"
-            f"p={poly_text(f.p)}]"
-        )
-    if isinstance(f, TwistPoly):
-        return f"twist_poly[d={poly_text(f.d, 't')},p={poly_text(f.p)}]"
-    if isinstance(f, CubicPencil):
-        return "cubic_pencil"
-    return f"weierstrass_pencil[{len(f.sections)} sections]"
-
-
-@dataclass(frozen=True)
 class Fiber:
     param: Fraction
     curve: Curve
@@ -142,7 +72,6 @@ class TotalSpacePoint:
 
     param: Fraction
     witness: Point
-    raw: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -152,64 +81,273 @@ class Finding:
     message: str
 
 
-def _twist_d(f: Family, t0: Fraction) -> Fraction:
-    if isinstance(f, TwistLinear):
-        return t0
-    if isinstance(f, TwistQuadratic):
-        return f.c * (t0 * t0 - f.a)
-    if isinstance(f, TwistPoly):
-        return poly_eval(f.d, t0)
-    raise WrongFamilyKind(f"{family_id(f)} is not a twist family")
+def _error(code: str, message: str) -> Finding:
+    return Finding("error", code, message)
 
 
-def validate_family(f: Family) -> list[Finding]:
-    """Hypothesis checks; problems are returned as findings, never raised."""
-    out: list[Finding] = []
+@dataclass
+class StreamStats:
+    enumerated: int = 0
+    degenerate_skipped: int = 0
+    duplicates: int = 0
+    emitted: int = 0
 
-    def err(code: str, message: str) -> None:
-        out.append(Finding("error", code, message))
 
-    if isinstance(f, TWIST_KINDS):
-        if degree(f.p) != 3:
-            err("p-degree", f"p must be a cubic, got degree {degree(f.p)}")
-        elif f.p[3] != 1:
-            err("p-monic", "p must be monic (non-monic twists are rejected, not normalized)")
-        elif not is_separable_cubic(f.p):
-            err("p-separable", "p must be separable: its discriminant vanishes")
-    if isinstance(f, TwistQuadratic):
-        if f.c == 0:
-            err("d-degree", "c = 0 makes d(t) identically zero")
-        if f.a == 0:
-            err("d-separable", "a = 0 makes d(t) = c*t^2 inseparable; the degree-2 twist hypothesis requires two distinct roots")
-    if isinstance(f, TwistPoly):
-        if degree(f.d) < 1:
-            err("d-degree", "d must be non-constant")
-        elif not is_squarefree(f.d):
-            err("d-separable", "d must be separable")
-    if isinstance(f, (TwistLinear, TwistPoly, TwistQuadratic)) and f.generic_rank != 0:
-        out.append(
-            Finding(
-                "warning",
-                "generic-rank",
-                "twist families carry no declared sections; nonzero generic rank cannot be witnessed",
-            )
-        )
-    if isinstance(f, WeierstrassPencil):
-        disc = (
-            ratfunc([4]) * f.A * f.A * f.A + ratfunc([27]) * f.B * f.B
-        )
-        if disc.is_zero():
-            err("pencil-singular", "4A^3 + 27B^2 = 0 identically in Q(lam)")
-        for i, (X, Y) in enumerate(f.sections):
-            lhs = Y * Y
-            rhs = X * X * X + f.A * X + f.B
-            if (lhs - rhs).is_zero():
+class Family:
+    """Base of the family kinds.  The defaults fit a kind whose identifier
+    is its kind name, with no sections and no total-space walk."""
+
+    def __post_init__(self) -> None:
+        rank = self.generic_rank
+        # None is allowed only where it is the default: a pencil that
+        # declares no rank declares its section count.
+        if rank is None and type(self).generic_rank is None:
+            return
+        if type(rank) is not int or rank < 0:
+            raise FamilyFormatError(f"generic_rank must be an integer >= 0, got {rank!r}")
+
+    def ident(self) -> str:
+        return self.kind
+
+    def findings(self) -> list[Finding]:
+        return []
+
+    def sections_at(self, lam: Fraction) -> list[Point]:
+        return []
+
+    def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
+        return self.fiber_first(bound, stats)
+
+    def fiber_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
+        """Search x on the standardized fiber directly."""
+        rats = list(iter_rationals(bound))
+        for lam in rats:
+            try:
+                fib = self.fiber(lam)
+            except DegenerateFiber:
+                stats.degenerate_skipped += 1
                 continue
-            err(
-                "section-invalid",
-                f"section {i} does not satisfy Y^2 = X^3 + A X + B identically",
+            A, B = fib.curve.A, fib.curve.B
+            for X0 in rats:
+                stats.enumerated += 1
+                Y0 = is_rational_square(X0**3 + A * X0 + B)
+                if Y0 is not None:
+                    yield TotalSpacePoint(param=lam, witness=Point(X0, Y0))
+
+
+class _Twist(Family):
+    """d(t) y^2 = p(x), with d(t) a polynomial `d` on every twist kind."""
+
+    def fiber(self, lam: Fraction) -> Fiber:
+        A, B, s = depress_cubic(self.p)
+        d0 = poly_eval(self.d, lam)
+        if d0 == 0:
+            raise DegenerateFiber(f"d({format_rational(lam)}) = 0")
+        try:
+            cv = Curve(A * d0 * d0, B * d0**3)
+        except SingularCurve as exc:
+            raise DegenerateFiber(str(exc)) from exc
+        desc = f"(x,y) -> (d*(x + {format_rational(s)}), d^2*y), d = {format_rational(d0)}"
+        return Fiber(param=lam, curve=cv, to_standard=desc)
+
+    def findings(self) -> list[Finding]:
+        out: list[Finding] = []
+        if degree(self.p) != 3:
+            out.append(_error("p-degree", f"p must be a cubic, got degree {degree(self.p)}"))
+        elif self.p[3] != 1:
+            out.append(
+                _error("p-monic", "p must be monic (non-monic twists are rejected, not normalized)")
             )
-        if f.generic_rank is not None and f.generic_rank > len(f.sections):
+        elif not is_separable_cubic(self.p):
+            out.append(_error("p-separable", "p must be separable: its discriminant vanishes"))
+        out += self._d_findings()
+        if self.generic_rank != 0:
+            out.append(
+                Finding(
+                    "warning",
+                    "generic-rank",
+                    "twist families carry no declared sections; nonzero generic rank cannot be witnessed",
+                )
+            )
+        return out
+
+    def _d_findings(self) -> list[Finding]:
+        return []
+
+    def fiber_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
+        rats = list(iter_rationals(bound))
+        d = self.d
+        px = [(x0, poly_eval(self.p, x0)) for x0 in rats]
+        for lam in rats:
+            d0 = poly_eval(d, lam)
+            if d0 == 0:
+                stats.degenerate_skipped += 1
+                continue
+            dn, dd = d0.numerator, d0.denominator
+            for x0, v in px:
+                stats.enumerated += 1
+                # v/d0 is a square iff (vn*dd)*(vd*dn) is a perfect square
+                if not int_pair_is_square(v.numerator * dd, v.denominator * dn):
+                    continue
+                yield twist_witness(self, lam, x0, is_rational_square(v / d0))
+
+    def _xy_walk(
+        self, bound: int, stats: StreamStats
+    ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+        """(x0, p(x0), y0) over rationals x0 and y0 > 0 with p(x0) != 0.
+
+        (x0, -y0) hits the same parameter with the mirrored witness, which
+        the (param, witness.x) dedup would drop; walking y0 > 0 skips the
+        waste.
+        """
+        rats = list(iter_rationals(bound))
+        ys = [y0 for y0 in rats if y0 > 0]
+        for x0 in rats:
+            px = poly_eval(self.p, x0)
+            for y0 in ys:
+                stats.enumerated += 1
+                if px == 0:
+                    stats.degenerate_skipped += 1
+                    continue
+                yield x0, px, y0
+
+
+@dataclass(frozen=True)
+class TwistLinear(_Twist):
+    """Fiber at t0: t0 * y^2 = p(x)."""
+
+    p: Poly
+    generic_rank: int = 0
+    kind = "twist_linear"
+    d = poly([0, 1])  # d(t) = t
+
+    def ident(self) -> str:
+        return f"twist_linear[p={poly_text(self.p)}]"
+
+    def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
+        for x0, px, y0 in self._xy_walk(bound, stats):
+            yield twist_witness(self, px / (y0 * y0), x0, y0)
+
+
+@dataclass(frozen=True)
+class TwistQuadratic(_Twist):
+    """d(t) = c(t^2 - a); fiber at t0: d(t0) * y^2 = p(x)."""
+
+    c: Fraction
+    a: Fraction
+    p: Poly
+    generic_rank: int = 0
+    kind = "twist_quadratic"
+
+    @property
+    def d(self) -> Poly:
+        return poly([-self.c * self.a, 0, self.c])
+
+    def ident(self) -> str:
+        return (
+            f"twist_quadratic[c={format_rational(self.c)},a={format_rational(self.a)},"
+            f"p={poly_text(self.p)}]"
+        )
+
+    def _d_findings(self) -> list[Finding]:
+        out = []
+        if self.c == 0:
+            out.append(_error("d-degree", "c = 0 makes d(t) identically zero"))
+        if self.a == 0:
+            out.append(
+                _error(
+                    "d-separable",
+                    "a = 0 makes d(t) = c*t^2 inseparable; the degree-2 twist hypothesis requires two distinct roots",
+                )
+            )
+        return out
+
+    def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
+        # solve c(t0^2 - a) y0^2 = p(x0)
+        for x0, px, y0 in self._xy_walk(bound, stats):
+            s = is_rational_square(px / (self.c * y0 * y0) + self.a)
+            if s is not None:
+                for t0 in (s, -s) if s != 0 else (s,):
+                    yield twist_witness(self, t0, x0, y0)
+
+
+@dataclass(frozen=True)
+class TwistPoly(_Twist):
+    """General polynomial twist d(t) * y^2 = p(x)."""
+
+    d: Poly
+    p: Poly
+    generic_rank: int = 0
+    kind = "twist_poly"
+
+    def ident(self) -> str:
+        return f"twist_poly[d={poly_text(self.d, 't')},p={poly_text(self.p)}]"
+
+    def _d_findings(self) -> list[Finding]:
+        if degree(self.d) < 1:
+            return [_error("d-degree", "d must be non-constant")]
+        if not is_squarefree(self.d):
+            return [_error("d-separable", "d must be separable")]
+        return []
+
+
+@dataclass(frozen=True)
+class CubicPencil(Family):
+    """x^3 + y^3 + (lam^3 + 1) t^3 = 0 with zero section (1, -1, 0)."""
+
+    generic_rank: int = 0
+    kind = "cubic_pencil"
+
+    def fiber(self, lam: Fraction) -> Fiber:
+        c = -(lam**3 + 1)
+        if c == 0:
+            raise DegenerateFiber("lam^3 + 1 = 0")
+        cv = Curve(Fraction(0), -432 * c * c)
+        desc = f"(x,y) -> (12c/(x+y), 36c(x-y)/(x+y)), c = {format_rational(c)}"
+        return Fiber(param=lam, curve=cv, to_standard=desc)
+
+    def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
+        for a, b in _euler_pairs(bound):
+            stats.enumerated += 1
+            hit = euler_parametrize(a, b)
+            if hit is None:
+                stats.degenerate_skipped += 1
+                continue
+            try:
+                w = cubic_witness(*hit)
+            except LineAtInfinity:
+                stats.degenerate_skipped += 1
+                continue
+            yield w
+
+
+@dataclass(frozen=True)
+class WeierstrassPencil(Family):
+    """Y^2 = X^3 + A(lam) X + B(lam) with declared sections."""
+
+    A: RatFunc
+    B: RatFunc
+    sections: tuple[tuple[RatFunc, RatFunc], ...] = ()
+    generic_rank: Optional[int] = None
+    kind = "weierstrass_pencil"
+
+    def ident(self) -> str:
+        return f"weierstrass_pencil[{len(self.sections)} sections]"
+
+    def findings(self) -> list[Finding]:
+        out: list[Finding] = []
+        disc = ratfunc([4]) * self.A * self.A * self.A + ratfunc([27]) * self.B * self.B
+        if disc.is_zero():
+            out.append(_error("pencil-singular", "4A^3 + 27B^2 = 0 identically in Q(lam)"))
+        for i, (X, Y) in enumerate(self.sections):
+            if not (Y * Y - (X * X * X + self.A * X + self.B)).is_zero():
+                out.append(
+                    _error(
+                        "section-invalid",
+                        f"section {i} does not satisfy Y^2 = X^3 + A X + B identically",
+                    )
+                )
+        if self.generic_rank is not None and self.generic_rank > len(self.sections):
             out.append(
                 Finding(
                     "warning",
@@ -217,61 +355,70 @@ def validate_family(f: Family) -> list[Finding]:
                     "declared generic rank exceeds the number of declared sections",
                 )
             )
-    return out
+        return out
+
+    def fiber(self, lam: Fraction) -> Fiber:
+        try:
+            cv = Curve(self.A.eval(lam), self.B.eval(lam))
+        except (PoleAtPoint, SingularCurve) as exc:
+            raise DegenerateFiber(str(exc)) from exc
+        return Fiber(param=lam, curve=cv, to_standard="identity")
+
+    def sections_at(self, lam: Fraction) -> list[Point]:
+        fib = fiber_at(self, lam)
+        out = []
+        for X, Y in self.sections:
+            P = Point(X.eval(lam), Y.eval(lam))
+            if not on_curve(fib.curve, P):
+                raise NotOnTotalSpace(f"section specializes off the fiber at {lam}")
+            out.append(P)
+        return out
+
+
+_KINDS = {
+    cls.kind: cls
+    for cls in (TwistLinear, TwistQuadratic, TwistPoly, CubicPencil, WeierstrassPencil)
+}
+
+
+def declared_generic_rank(f: Family) -> int:
+    # generic_rank is None only on a pencil, which then declares its sections.
+    return len(f.sections) if f.generic_rank is None else f.generic_rank
+
+
+def family_id(f: Family) -> str:
+    return f.ident()
+
+
+def validate_family(f: Family) -> list[Finding]:
+    """Hypothesis checks; problems are returned as findings, never raised."""
+    return f.findings()
 
 
 def fiber_at(f: Family, lam: Fraction) -> Fiber:
     """The standardized fiber at a parameter; raises DegenerateFiber."""
-    lam = Fraction(lam)
-    if isinstance(f, TWIST_KINDS):
-        A, B, s = depress_cubic(f.p)
-        d0 = _twist_d(f, lam)
-        if d0 == 0:
-            raise DegenerateFiber(f"d({format_rational(lam)}) = 0")
-        try:
-            cv = Curve(A * d0 * d0, B * d0**3)
-        except SingularCurve as exc:
-            raise DegenerateFiber(str(exc)) from exc
-        desc = (
-            f"(x,y) -> (d*(x + {format_rational(s)}), d^2*y), d = {format_rational(d0)}"
-        )
-        return Fiber(param=lam, curve=cv, to_standard=desc)
-    if isinstance(f, CubicPencil):
-        c = -(lam**3 + 1)
-        if c == 0:
-            raise DegenerateFiber("lam^3 + 1 = 0")
-        cv = Curve(Fraction(0), -432 * c * c)
-        desc = f"(x,y) -> (12c/(x+y), 36c(x-y)/(x+y)), c = {format_rational(c)}"
-        return Fiber(param=lam, curve=cv, to_standard=desc)
-    if isinstance(f, WeierstrassPencil):
-        try:
-            A = f.A.eval(lam)
-            B = f.B.eval(lam)
-        except PoleAtPoint as exc:
-            raise DegenerateFiber(str(exc)) from exc
-        try:
-            cv = Curve(A, B)
-        except SingularCurve as exc:
-            raise DegenerateFiber(str(exc)) from exc
-        return Fiber(param=lam, curve=cv, to_standard="identity")
-    raise WrongFamilyKind(str(type(f)))
+    return f.fiber(Fraction(lam))
+
+
+def specialize_sections(f: Family, lam: Fraction) -> list[Point]:
+    """Evaluate each declared section at lam and verify it on the fiber;
+    kinds without sections have none."""
+    return f.sections_at(lam)
 
 
 def twist_witness(f: Family, lam: Fraction, x0: Fraction, y0: Fraction) -> TotalSpacePoint:
     """Map a total-space point of a twist family into its standardized fiber."""
-    if not isinstance(f, TWIST_KINDS):
-        raise WrongFamilyKind(f"{family_id(f)} is not a twist family")
     lam, x0, y0 = Fraction(lam), Fraction(x0), Fraction(y0)
-    d0 = _twist_d(f, lam)
+    d0 = poly_eval(f.d, lam)
     if d0 * y0 * y0 != poly_eval(f.p, x0):
         raise NotOnTotalSpace(
             f"d({format_rational(lam)})*y0^2 != p(x0) at ({format_rational(x0)}, {format_rational(y0)})"
         )
-    fib = fiber_at(f, lam)
+    fib = f.fiber(lam)
     _, _, s = depress_cubic(f.p)
     W = Point(d0 * (x0 + s), d0 * d0 * y0)
     assert on_curve(fib.curve, W)
-    return TotalSpacePoint(param=lam, witness=W, raw=(x0, y0))
+    return TotalSpacePoint(param=lam, witness=W)
 
 
 def cubic_witness(lam: Fraction, x: Fraction, y: Fraction) -> TotalSpacePoint:
@@ -290,7 +437,7 @@ def cubic_witness(lam: Fraction, x: Fraction, y: Fraction) -> TotalSpacePoint:
     Y = 36 * c * (x - y) / (x + y)
     W = Point(X, Y)
     assert on_curve(Curve(Fraction(0), -432 * c * c), W)
-    return TotalSpacePoint(param=lam, witness=W, raw=(x, y))
+    return TotalSpacePoint(param=lam, witness=W)
 
 
 # Verified once by symbolic expansion (and re-verified per call in tests):
@@ -316,26 +463,15 @@ def euler_parametrize(a: int, b: int) -> Optional[tuple[Fraction, Fraction, Frac
     return lam, Fraction(X, T), Fraction(Y, T)
 
 
-def specialize_sections(f: WeierstrassPencil, lam: Fraction) -> list[Point]:
-    """Evaluate each declared section at lam and verify it on the fiber."""
-    if not isinstance(f, WeierstrassPencil):
-        raise WrongFamilyKind("specialize_sections needs a Weierstrass pencil")
-    fib = fiber_at(f, lam)
-    out = []
-    for X, Y in f.sections:
-        P = Point(X.eval(lam), Y.eval(lam))
-        if not on_curve(fib.curve, P):
-            raise NotOnTotalSpace(f"section specializes off the fiber at {lam}")
-        out.append(P)
-    return out
-
-
-@dataclass
-class StreamStats:
-    enumerated: int = 0
-    degenerate_skipped: int = 0
-    duplicates: int = 0
-    emitted: int = 0
+def _euler_pairs(bound: int):
+    for m in range(1, bound + 1):
+        block = []
+        for a in range(-m, m + 1):
+            for b in range(-m, m + 1):
+                if max(abs(a), abs(b)) == m and gcd(a, b) == 1:
+                    block.append((a, b))
+        block.sort()
+        yield from block
 
 
 def witness_stream(
@@ -354,160 +490,39 @@ def witness_stream(
     if mode not in ("total-first", "fiber-first"):
         raise ValueError(f"unknown mode {mode!r}")
     stats = StreamStats()
-    if mode == "total-first":
-        if isinstance(f, (TwistLinear, TwistQuadratic)):
-            points = _twist_total_first(f, bound, stats)
-        elif isinstance(f, CubicPencil):
-            points = _cubic_total_first(bound, stats)
-        else:
-            points = _fiber_first(f, bound, stats)
-    else:
-        points = _fiber_first(f, bound, stats)
+    walk = f.total_first if mode == "total-first" else f.fiber_first
+    seen: set = set()
+    points: list[TotalSpacePoint] = []
+    for w in walk(bound, stats):
+        key = (w.param, w.witness.x)
+        if key in seen:
+            stats.duplicates += 1
+            continue
+        seen.add(key)
+        points.append(w)
     stats.emitted = len(points)
     return points, stats
 
 
-def _dedup() -> tuple[set, "callable"]:
-    seen: set = set()
-
-    def accept(w: TotalSpacePoint) -> bool:
-        key = (w.param, w.witness.x)
-        if key in seen:
-            return False
-        seen.add(key)
-        return True
-
-    return seen, accept
-
-
-def _twist_total_first(f, bound: int, stats: StreamStats) -> list[TotalSpacePoint]:
-    rats = list(iter_rationals(bound))
-    # (x0, -y0) hits the same parameter with the mirrored witness, which the
-    # (param, witness.x) dedup would drop; walking y0 > 0 skips the waste.
-    ys = [y0 for y0 in rats if y0 > 0]
-    _, accept = _dedup()
-    out: list[TotalSpacePoint] = []
-    for x0 in rats:
-        px = poly_eval(f.p, x0)
-        for y0 in ys:
-            stats.enumerated += 1
-            if isinstance(f, TwistLinear):
-                t0 = px / (y0 * y0)
-                if t0 == 0:
-                    stats.degenerate_skipped += 1
-                    continue
-                w = twist_witness(f, t0, x0, y0)
-                if accept(w):
-                    out.append(w)
-                else:
-                    stats.duplicates += 1
-            else:  # TwistQuadratic: solve c(t0^2 - a) y0^2 = p(x0)
-                if px == 0:
-                    stats.degenerate_skipped += 1
-                    continue
-                t0sq = px / (f.c * y0 * y0) + f.a
-                s = is_rational_square(t0sq)
-                if s is None:
-                    continue
-                for t0 in (s, -s) if s != 0 else (s,):
-                    w = twist_witness(f, t0, x0, y0)
-                    if accept(w):
-                        out.append(w)
-                    else:
-                        stats.duplicates += 1
-    return out
-
-
-def _euler_pairs(bound: int):
-    for m in range(1, bound + 1):
-        block = []
-        for a in range(-m, m + 1):
-            for b in range(-m, m + 1):
-                if max(abs(a), abs(b)) == m and gcd(a, b) == 1:
-                    block.append((a, b))
-        block.sort()
-        yield from block
-
-
-def _cubic_total_first(bound: int, stats: StreamStats) -> list[TotalSpacePoint]:
-    _, accept = _dedup()
-    out: list[TotalSpacePoint] = []
-    for a, b in _euler_pairs(bound):
-        stats.enumerated += 1
-        hit = euler_parametrize(a, b)
-        if hit is None:
-            stats.degenerate_skipped += 1
-            continue
-        lam, x, y = hit
-        try:
-            w = cubic_witness(lam, x, y)
-        except LineAtInfinity:
-            stats.degenerate_skipped += 1
-            continue
-        if accept(w):
-            out.append(w)
-        else:
-            stats.duplicates += 1
-    return out
-
-
-def _fiber_first(f, bound: int, stats: StreamStats) -> list[TotalSpacePoint]:
-    rats = list(iter_rationals(bound))
-    _, accept = _dedup()
-    out: list[TotalSpacePoint] = []
-
-    if isinstance(f, TWIST_KINDS):
-        px = [(x0, poly_eval(f.p, x0)) for x0 in rats]
-        for lam in rats:
-            d0 = _twist_d(f, lam)
-            if d0 == 0:
-                stats.degenerate_skipped += 1
-                continue
-            dn, dd = d0.numerator, d0.denominator
-            for x0, v in px:
-                stats.enumerated += 1
-                # v/d0 is a square iff (vn*dd)*(vd*dn) is a perfect square
-                if not int_pair_is_square(v.numerator * dd, v.denominator * dn):
-                    continue
-                y0 = is_rational_square(v / d0)
-                w = twist_witness(f, lam, x0, y0)
-                if accept(w):
-                    out.append(w)
-                else:
-                    stats.duplicates += 1
-        return out
-
-    # Pencil kinds: search x on the standardized fiber directly.
-    for lam in rats:
-        try:
-            fib = fiber_at(f, lam)
-        except DegenerateFiber:
-            stats.degenerate_skipped += 1
-            continue
-        A, B = fib.curve.A, fib.curve.B
-        for X0 in rats:
-            stats.enumerated += 1
-            rhs = X0**3 + A * X0 + B
-            Y0 = is_rational_square(rhs)
-            if Y0 is None:
-                continue
-            w = TotalSpacePoint(param=lam, witness=Point(X0, Y0), raw=(X0, Y0))
-            if accept(w):
-                out.append(w)
-            else:
-                stats.duplicates += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
-# JSON schema (External Interfaces): exactly the fields relevant to the kind.
+# JSON (External Interfaces): a kind's fields are exactly its dataclass
+# fields plus "kind".  Each field name has one (decode, encode) pair.
 
-_SCHEMA = {
-    "twist_linear": {"kind", "p", "generic_rank"},
-    "twist_quadratic": {"kind", "c", "a", "p", "generic_rank"},
-    "twist_poly": {"kind", "d", "p", "generic_rank"},
-    "cubic_pencil": {"kind", "generic_rank"},
-    "weierstrass_pencil": {"kind", "A", "B", "sections", "generic_rank"},
+_POLY = (parse_poly, format_poly)
+_RATIONAL = (lambda v: parse_rational(str(v)), format_rational)
+_RATFUNC = (ratfunc_from_json, ratfunc_to_json)
+_CODECS = {
+    "p": _POLY,
+    "d": _POLY,
+    "c": _RATIONAL,
+    "a": _RATIONAL,
+    "A": _RATFUNC,
+    "B": _RATFUNC,
+    "sections": (
+        lambda v: tuple((ratfunc_from_json(X), ratfunc_from_json(Y)) for X, Y in v),
+        lambda s: [[ratfunc_to_json(X), ratfunc_to_json(Y)] for X, Y in s],
+    ),
+    "generic_rank": (lambda v: v, lambda v: v),  # checked by the family itself
 }
 
 
@@ -515,67 +530,28 @@ def family_from_json(obj: dict) -> Family:
     if not isinstance(obj, dict):
         raise FamilyFormatError("family description must be a JSON object")
     kind = obj.get("kind")
-    if kind not in _SCHEMA:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise FamilyFormatError(f"unknown family kind {kind!r}")
-    extra = set(obj) - _SCHEMA[kind]
+    extra = set(obj) - {f.name for f in fields(cls)} - {"kind"}
     if extra:
         raise FamilyFormatError(f"unknown fields for {kind}: {sorted(extra)}")
+    kwargs = {}
     try:
-        rank = int(obj.get("generic_rank", 0))
-        if kind == "twist_linear":
-            return TwistLinear(p=parse_poly(obj["p"]), generic_rank=rank)
-        if kind == "twist_quadratic":
-            return TwistQuadratic(
-                c=parse_rational(str(obj["c"])),
-                a=parse_rational(str(obj["a"])),
-                p=parse_poly(obj["p"]),
-                generic_rank=rank,
-            )
-        if kind == "twist_poly":
-            return TwistPoly(d=parse_poly(obj["d"]), p=parse_poly(obj["p"]), generic_rank=rank)
-        if kind == "cubic_pencil":
-            return CubicPencil(generic_rank=rank)
-        sections = tuple(
-            (ratfunc_from_json(X), ratfunc_from_json(Y)) for X, Y in obj.get("sections", [])
-        )
-        return WeierstrassPencil(
-            A=ratfunc_from_json(obj["A"]),
-            B=ratfunc_from_json(obj["B"]),
-            sections=sections,
-            generic_rank=int(obj["generic_rank"]) if "generic_rank" in obj else None,
-        )
-    except KeyError as exc:
-        raise FamilyFormatError(f"missing field {exc} for {kind}") from exc
-    except (ValueError, ZeroDivisionError) as exc:
+        for f in fields(cls):
+            if f.name in obj:
+                kwargs[f.name] = _CODECS[f.name][0](obj[f.name])
+            elif f.default is MISSING:
+                raise FamilyFormatError(f"missing field {f.name!r} for {kind}")
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise FamilyFormatError(str(exc)) from exc
+    return cls(**kwargs)
 
 
 def family_to_json(f: Family) -> dict:
-    if isinstance(f, TwistLinear):
-        return {"kind": f.kind, "p": format_poly(f.p), "generic_rank": f.generic_rank}
-    if isinstance(f, TwistQuadratic):
-        return {
-            "kind": f.kind,
-            "c": format_rational(f.c),
-            "a": format_rational(f.a),
-            "p": format_poly(f.p),
-            "generic_rank": f.generic_rank,
-        }
-    if isinstance(f, TwistPoly):
-        return {
-            "kind": f.kind,
-            "d": format_poly(f.d),
-            "p": format_poly(f.p),
-            "generic_rank": f.generic_rank,
-        }
-    if isinstance(f, CubicPencil):
-        return {"kind": f.kind, "generic_rank": f.generic_rank}
-    out = {
-        "kind": f.kind,
-        "A": ratfunc_to_json(f.A),
-        "B": ratfunc_to_json(f.B),
-        "sections": [[ratfunc_to_json(X), ratfunc_to_json(Y)] for X, Y in f.sections],
-    }
-    if f.generic_rank is not None:
-        out["generic_rank"] = f.generic_rank
+    out = {"kind": f.kind}
+    for field in fields(f):
+        value = getattr(f, field.name)
+        if value is not None:
+            out[field.name] = _CODECS[field.name][1](value)
     return out

@@ -11,7 +11,7 @@ and the classical Bezout identities (both re-verified exactly per curve in
 the test suite; D = 4A^3 + 27B^2)
 
   (12u^2 v + 16A v^3) F + (-3u^3 + 5Auv^2 + 27Bv^3) G = 4D v^7
-  f2 F + g2 G = 4D u^7,   f2, g2 the cubic cofactors in _u7_cofactors
+  f2 F + g2 G = 4D u^7,   f2, g2 the cubic cofactors in u7_cofactors
 
 bound the one-step defect:  h(2P) - 4h(P) <= beta = ln c1 from the
 coefficient sums of F and G, and h(2P) - 4h(P) >= -alpha = -ln S from the
@@ -80,7 +80,7 @@ def naive_height(P: Point) -> Decimal:
     return ln_int_interval(max(abs(P.x.numerator), P.x.denominator)).mid
 
 
-def _u7_cofactors(A: int, B: int) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
+def u7_cofactors(A: int, B: int) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
     """Cubic cofactors (f2, g2) of the u^7 identity, ascending in v-degree."""
     D = 4 * A**3 + 27 * B**2
     f2 = (4 * D, -4 * A * A * B, 12 * A**4 + 88 * A * B * B, 12 * A**3 * B + 96 * B**3)
@@ -98,10 +98,6 @@ def v7_cofactors(A: int, B: int) -> tuple[tuple[int, int, int, int], tuple[int, 
     return (0, 12, 0, 16 * A), (-3, 0, 5 * A, 27 * B)
 
 
-def u7_cofactors(A: int, B: int):
-    return _u7_cofactors(A, B)
-
-
 def defect_bounds(C: Curve) -> tuple[Decimal, Decimal]:
     """(alpha, beta): rigorous bounds -alpha <= h(2P) - 4h(P) <= beta.
 
@@ -112,7 +108,7 @@ def defect_bounds(C: Curve) -> tuple[Decimal, Decimal]:
     A, B = int(C.A), int(C.B)
     c1 = max(1 + 2 * abs(A) + 8 * abs(B) + A * A, 4 * (1 + abs(A) + abs(B)))
     s_v = 15 + 21 * abs(A) + 27 * abs(B)
-    f2, g2 = _u7_cofactors(A, B)
+    f2, g2 = u7_cofactors(A, B)
     s_u = sum(abs(c) for c in f2) + sum(abs(c) for c in g2)
     alpha = ln_int_interval(max(s_v, s_u)).hi
     beta = ln_int_interval(c1).hi

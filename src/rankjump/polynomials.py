@@ -31,12 +31,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def leading(p: Poly) -> Fraction:
-    if not p:
-        return Fraction(0)
-    return p[-1]
-
-
 def poly_add(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
     return poly(
@@ -229,10 +223,6 @@ def ratfunc(num, den=(Fraction(1),)) -> RatFunc:
         n = poly_scale(n, 1 / lc)
         d = poly_scale(d, 1 / lc)
     return RatFunc(n, d)
-
-
-def ratfunc_from_const(c) -> RatFunc:
-    return ratfunc(poly([c]))
 
 
 def ratfunc_eval(f: RatFunc, q: Fraction) -> Fraction:

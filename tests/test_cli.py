@@ -138,3 +138,30 @@ def test_scan_determinism_bytes(tmp_path):
         outs.append(Path(out + ".density.json").read_bytes())
     assert outs[0] == outs[2]
     assert outs[1] == outs[3]
+
+
+@pytest.mark.parametrize("rank", [-3, 2.7, "1", True])
+def test_bad_generic_rank_exits_2(tmp_path, capsys, rank):
+    fam = _write(tmp_path, "f.json", {**TWIST_LINEAR, "generic_rank": rank})
+    out = str(tmp_path / "scan.csv")
+    assert main(["scan", "--family", fam, "--bound", "3", "--tol", "1e-4", "--out", out]) == 2
+    assert not Path(out).exists()
+    assert main(["validate", fam]) == 2
+    assert main(["neron", "--family", _write(tmp_path, "p.json", {**PENCIL, "generic_rank": rank}), "--bound", "2"]) == 2
+    assert "generic_rank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "abc", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--family", "f.json", "--bound", "2"],
+        ["neron", "--family", "p.json", "--bound", "2"],
+        ["height", "--curve", "0,1", "--point", "2,3"],
+    ],
+)
+def test_bad_tol_exits_2(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err

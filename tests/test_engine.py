@@ -1,9 +1,12 @@
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rankjump.curves import curve, mul, on_curve, point
+from rankjump.curves import curve, is_torsion, mul, on_curve, point
 from rankjump.engine import (
     billing_build,
     certify_fiber,
@@ -19,9 +22,11 @@ from rankjump.families import (
     WeierstrassPencil,
     cubic_witness,
     fiber_at,
+    specialize_sections,
     twist_witness,
     witness_stream,
 )
+from rankjump.heights import gram_certify
 from rankjump.polynomials import poly, ratfunc
 
 X3_MINUS_X = poly([0, -1, 0, 1])
@@ -79,7 +84,7 @@ def test_no_false_jump_on_dependent_witness():
     fib = fiber_at(PENCIL, lam)
     section = point(2, 2)
     wpt = mul(fib.curve, 2, section)
-    w = TotalSpacePoint(param=lam, witness=wpt, raw=(wpt.x, wpt.y))
+    w = TotalSpacePoint(param=lam, witness=wpt)
     cert = certify_fiber(PENCIL, w)
     assert cert.certified_rank_lb <= 1
     from rankjump.curves import small_relation_search
@@ -216,3 +221,69 @@ def test_billing_skips_square_values():
     assert cert.classes[0].squarefree == 2  # p(1) = 2
     for w in cert.witnesses:
         assert on_curve(w.twist_curve, w.point)
+
+
+def _gram_two_pass(C, pts, tol):
+    """Reference: certify at tol, and on failure start over at tol/10."""
+    g = gram_certify(C, pts, tol)
+    return g if g.certified else gram_certify(C, pts, tol / 10)
+
+
+def test_gram_single_pass_matches_two_pass():
+    # Chains advance in lockstep and a chain stopped by the budget never
+    # resumes, so one run at tol/10 passes through every state of the run
+    # at tol and stops at the same first positive determinant.
+    cases = []
+    pts, _ = witness_stream(PENCIL, 3, "fiber-first")
+    for w in pts:
+        C = fiber_at(PENCIL, w.param).curve
+        if is_torsion(C, w.witness):
+            continue
+        sections = [P for P in specialize_sections(PENCIL, w.param) if not is_torsion(C, P)]
+        cases.append((C, [w.witness]))
+        if all(P != w.witness for P in sections):
+            cases.append((C, sections + [w.witness]))
+    C = fiber_at(PENCIL, Fraction(2)).curve
+    P = point(2, 2)
+    cases += [(C, [P, mul(C, 2, P)]), (C, [P, mul(C, -1, P)]), (C, [P, mul(C, 3, P), point(2, -2)])]
+    retried = retried_certified = 0
+    for tol in (Decimal("1"), Decimal("1e-4")):
+        for C, pts in cases:
+            g = gram_certify(C, pts, tol / 10)
+            assert g == _gram_two_pass(C, pts, tol)
+            if not gram_certify(C, pts, tol).certified:
+                retried += 1
+                retried_certified += g.certified
+    assert retried_certified > 0  # the first pass fails, the deeper one certifies
+    assert retried > retried_certified  # dependent sets fail both passes
+
+
+TAMPERED_REVALIDATE = """
+import dataclasses
+from rankjump.curves import point
+from rankjump.engine import billing_build
+from rankjump.errors import InvalidCertificate
+from rankjump.polynomials import poly
+
+cert = billing_build(poly([0, -1, 0, 1]), 3, 10)
+# (0, 0) is 2-torsion on every twist of y^2 = x^3 - x
+torsion = dataclasses.replace(cert.witnesses[0], point=point(0, 0))
+bad = dataclasses.replace(cert, witnesses=(torsion,) + cert.witnesses[1:])
+try:
+    bad.revalidate()
+except InvalidCertificate as exc:
+    print("rejected:", exc)
+"""
+
+
+def test_revalidate_raises_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_REVALIDATE],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected: witness is torsion"

@@ -222,3 +222,24 @@ def test_family_json_rejects_unknown_fields():
         family_from_json({"kind": "nope"})
     with pytest.raises(FamilyFormatError):
         family_from_json({"kind": "twist_quadratic", "c": "1", "p": ["1", "0", "0", "1"]})
+
+
+BAD_RANKS = [-3, 2.7, "1", True]
+
+
+@pytest.mark.parametrize("rank", BAD_RANKS)
+def test_bad_generic_rank_rejected_at_construction(rank):
+    with pytest.raises(FamilyFormatError, match="generic_rank"):
+        TwistLinear(p=X3_MINUS_X, generic_rank=rank)
+    with pytest.raises(FamilyFormatError, match="generic_rank"):
+        CubicPencil(generic_rank=rank)
+    with pytest.raises(FamilyFormatError, match="generic_rank"):
+        WeierstrassPencil(A=PENCIL.A, B=PENCIL.B, sections=PENCIL.sections, generic_rank=rank)
+    with pytest.raises(FamilyFormatError, match="generic_rank"):
+        family_from_json({"kind": "twist_linear", "p": ["0", "-1", "0", "1"], "generic_rank": rank})
+
+
+def test_generic_rank_none_only_on_pencils():
+    assert family_from_json({**family_to_json(PENCIL), "generic_rank": None}) == PENCIL
+    with pytest.raises(FamilyFormatError, match="generic_rank"):
+        TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1, generic_rank=None)
