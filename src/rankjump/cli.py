@@ -53,6 +53,16 @@ def _load_family(path: str):
     return family_from_json(obj)
 
 
+def _load_valid_family(path: str):
+    """The family at path, or None after printing each error finding that
+    makes `validate` reject it."""
+    fam = _load_family(path)
+    errors = [f for f in validate_family(fam) if f.severity == "error"]
+    for f in errors:
+        print(f"error: [{f.code}] {f.message}", file=sys.stderr)
+    return None if errors else fam
+
+
 def _emit(payload: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload.decode("ascii"))
@@ -77,11 +87,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    fam = _load_family(args.family)
-    errors = [f for f in validate_family(fam) if f.severity == "error"]
-    if errors:
-        for f in errors:
-            print(f"error: [{f.code}] {f.message}", file=sys.stderr)
+    fam = _load_valid_family(args.family)
+    if fam is None:
         return 2
     t0 = time.monotonic()
     report = scan(fam, args.bound, args.mode, args.tol, jobs=args.jobs)
@@ -120,7 +127,10 @@ def cmd_billing(args) -> int:
 
 
 def cmd_neron(args) -> int:
-    report = neron_check(_load_family(args.family), args.bound, args.tol)
+    fam = _load_valid_family(args.family)
+    if fam is None:
+        return 2
+    report = neron_check(fam, args.bound, args.tol)
     _emit(_json_bytes(report.to_json()), args.out)
     return 0
 

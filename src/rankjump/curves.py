@@ -178,15 +178,7 @@ def point_from_integral(P: Point, u: int) -> Point:
 
 def is_torsion(C: Curve, P: Point) -> bool:
     """n P = O for some 1 <= n <= 12, checked with exact arithmetic."""
-    _require(C, P)
-    if P.is_infinity:
-        return True
-    Q = P
-    for _ in range(2, TORSION_ORDER_BOUND + 1):
-        Q = add(C, Q, P)
-        if Q.is_infinity:
-            return True
-    return False
+    return torsion_order(C, P) is not None
 
 
 def torsion_order(C: Curve, P: Point) -> Optional[int]:
@@ -195,7 +187,7 @@ def torsion_order(C: Curve, P: Point) -> Optional[int]:
     if P.is_infinity:
         return 1
     Q = P
-    for n in range(2, TORSION_ORDER_BOUND + 2):
+    for n in range(2, TORSION_ORDER_BOUND + 1):
         Q = add(C, Q, P)
         if Q.is_infinity:
             return n

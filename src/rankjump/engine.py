@@ -111,68 +111,47 @@ CSV_COLUMNS = [
 def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> WitnessCertificate:
     """Assemble and certify the point set {specialized sections} + {witness}.
 
-    A torsion witness short-circuits to jump = False; otherwise the full
-    Gram certificate is attempted and, on failure, retried on the witness
-    singleton (a partial certificate beats none).  Gram refinement may go
-    down to tol/10; it stops at the first positive determinant, so most
-    independent sets resolve well above that depth.
+    A torsion witness never makes a jump: only the non-torsion sections are
+    certified.  Otherwise the full Gram certificate is attempted and, on
+    failure, retried on the witness singleton (a partial certificate beats
+    none).  Gram refinement may go down to tol/10; it stops at the first
+    positive determinant, so most independent sets resolve well above that
+    depth.
     """
-    tol_d = _as_decimal(tol)
-    fid = family_id(f)
+    gram_tol = _as_decimal(tol) / 10
     declared = declared_generic_rank(f)
-    fib = fiber_at(f, w.param)
-    C = fib.curve
+    C = fiber_at(f, w.param).curve
     sections = specialize_sections(f, w.param)
     live_sections = [P for P in sections if not is_torsion(C, P)]
 
     if not on_curve(C, w.witness):
         raise PointNotOnCurve("witness does not lie on the fiber")
 
-    if is_torsion(C, w.witness):
-        gram = None
-        lb = 0
-        if live_sections:
-            gram = gram_certify(C, live_sections, tol_d / 10)
-            lb = len(live_sections) if gram.certified else 0
-        return WitnessCertificate(
-            family_id=fid,
-            param=w.param,
-            curve=C,
-            section_points=tuple(sections),
-            witness=w.witness,
-            heights=gram.heights if gram is not None else (),
-            gram=gram,
-            certified_rank_lb=lb,
-            declared_generic_rank=declared,
-            jump=False,
-            status="torsion-witness",
-        )
-
+    torsion = is_torsion(C, w.witness)
     pts = list(live_sections)
-    if all((P.x, P.y) != (w.witness.x, w.witness.y) for P in pts):
+    if not torsion and all((P.x, P.y) != (w.witness.x, w.witness.y) for P in pts):
         pts.append(w.witness)
-    gram = gram_certify(C, pts, tol_d / 10)
-    if gram.certified:
-        lb = len(pts)
+    gram = gram_certify(C, pts, gram_tol) if pts else None
+    if not torsion and not gram.certified and len(pts) > 1:
+        pts = [w.witness]
+        gram = gram_certify(C, pts, gram_tol)
+    lb = len(pts) if gram is not None and gram.certified else 0
+    if torsion:
+        status = "torsion-witness"
     else:
-        if len(pts) > 1:
-            gram = gram_certify(C, [w.witness], tol_d / 10)
-            lb = 1 if gram.certified else 0
-        else:
-            lb = 0
-    jump = lb >= declared + 1
+        status = "certified" if gram.certified else "inconclusive"
     return WitnessCertificate(
-        family_id=fid,
+        family_id=family_id(f),
         param=w.param,
         curve=C,
         section_points=tuple(sections),
         witness=w.witness,
-        heights=gram.heights,
+        heights=gram.heights if gram is not None else (),
         gram=gram,
         certified_rank_lb=lb,
         declared_generic_rank=declared,
-        jump=jump,
-        status="certified" if gram.certified else "inconclusive",
+        jump=not torsion and lb > declared,
+        status=status,
     )
 
 
@@ -320,7 +299,7 @@ def neron_check(f: WeierstrassPencil, bound: int, tol=DEFAULT_SCAN_TOL) -> Neron
         try:
             fib = fiber_at(f, lam)
             pts = specialize_sections(f, lam)
-        except DegenerateFiber:
+        except (DegenerateFiber, PoleAtPoint):
             continue
         sampled += 1
         gram = gram_certify(fib.curve, pts, tol_d / 10)

@@ -63,7 +63,6 @@ from .rationals import (
 class Fiber:
     param: Fraction
     curve: Curve
-    to_standard: str
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ class _Twist(Family):
     """d(t) y^2 = p(x), with d(t) a polynomial `d` on every twist kind."""
 
     def fiber(self, lam: Fraction) -> Fiber:
-        A, B, s = depress_cubic(self.p)
+        A, B, _ = depress_cubic(self.p)
         d0 = poly_eval(self.d, lam)
         if d0 == 0:
             raise DegenerateFiber(f"d({format_rational(lam)}) = 0")
@@ -147,8 +146,7 @@ class _Twist(Family):
             cv = Curve(A * d0 * d0, B * d0**3)
         except SingularCurve as exc:
             raise DegenerateFiber(str(exc)) from exc
-        desc = f"(x,y) -> (d*(x + {format_rational(s)}), d^2*y), d = {format_rational(d0)}"
-        return Fiber(param=lam, curve=cv, to_standard=desc)
+        return Fiber(param=lam, curve=cv)
 
     def findings(self) -> list[Finding]:
         out: list[Finding] = []
@@ -303,8 +301,7 @@ class CubicPencil(Family):
         if c == 0:
             raise DegenerateFiber("lam^3 + 1 = 0")
         cv = Curve(Fraction(0), -432 * c * c)
-        desc = f"(x,y) -> (12c/(x+y), 36c(x-y)/(x+y)), c = {format_rational(c)}"
-        return Fiber(param=lam, curve=cv, to_standard=desc)
+        return Fiber(param=lam, curve=cv)
 
     def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
         for a, b in _euler_pairs(bound):
@@ -362,7 +359,7 @@ class WeierstrassPencil(Family):
             cv = Curve(self.A.eval(lam), self.B.eval(lam))
         except (PoleAtPoint, SingularCurve) as exc:
             raise DegenerateFiber(str(exc)) from exc
-        return Fiber(param=lam, curve=cv, to_standard="identity")
+        return Fiber(param=lam, curve=cv)
 
     def sections_at(self, lam: Fraction) -> list[Point]:
         fib = fiber_at(self, lam)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .curves import (
@@ -107,9 +106,7 @@ def defect_bounds(C: Curve) -> tuple[Decimal, Decimal]:
         raise ValueError("defect bounds need an integral model")
     A, B = int(C.A), int(C.B)
     c1 = max(1 + 2 * abs(A) + 8 * abs(B) + A * A, 4 * (1 + abs(A) + abs(B)))
-    s_v = 15 + 21 * abs(A) + 27 * abs(B)
-    f2, g2 = u7_cofactors(A, B)
-    s_u = sum(abs(c) for c in f2) + sum(abs(c) for c in g2)
+    s_v, s_u = (sum(map(abs, f + g)) for f, g in (v7_cofactors(A, B), u7_cofactors(A, B)))
     alpha = ln_int_interval(max(s_v, s_u)).hi
     beta = ln_int_interval(c1).hi
     return alpha, beta
@@ -157,17 +154,36 @@ class XChain:
     def size_bits(self) -> int:
         return max(self.u.bit_length(), self.v.bit_length())
 
-    def naive_height_interval(self) -> Interval:
-        return ln_int_interval(max(abs(self.u), self.v))
 
+class _Model:
+    """The chain setup shared by every enclosure on C: the integral model
+    (x, y) -> (u^2 x, u^3 y) and its defect bounds, computed once."""
 
-def _tail_interval(alpha: Decimal, beta: Decimal, depth: int) -> Interval:
-    return Interval(-alpha, beta).div_exact_int(3 * 4**depth)
+    def __init__(self, C: Curve):
+        self.curve, self.u = integral_model(C)
+        self.alpha, self.beta = defect_bounds(self.curve)
 
+    def chain(self, P: Point) -> Optional[XChain]:
+        """P's doubling chain on the integral model, or None when P is
+        torsion (infinity included): its height is exactly 0."""
+        if P.is_infinity:
+            return None
+        Pi = point_to_integral(P, self.u)
+        return None if is_torsion(self.curve, Pi) else XChain(self.curve, Pi)
 
-def _chain_height_interval(chain: XChain, alpha: Decimal, beta: Decimal) -> Interval:
-    L = chain.naive_height_interval().div_exact_int(4**chain.depth)
-    return L + _tail_interval(alpha, beta, chain.depth)
+    def interval(self, chain: Optional[XChain]) -> Interval:
+        """[L_N - alpha/(3*4^N), L_N + beta/(3*4^N)] at the chain's depth N."""
+        if chain is None:
+            return Interval.exact(0)
+        L = ln_int_interval(max(abs(chain.u), chain.v)).div_exact_int(4**chain.depth)
+        return L + Interval(-self.alpha, self.beta).div_exact_int(3 * 4**chain.depth)
+
+    def enclose(self, P: Point, depth: int) -> Interval:
+        chain = self.chain(P)
+        if chain is not None:
+            for _ in range(depth):
+                chain.step()
+        return self.interval(chain)
 
 
 def depth_for_tolerance(alpha: Decimal, beta: Decimal, tol: Decimal) -> int:
@@ -198,15 +214,7 @@ def height_interval(C: Curve, P: Point, depth: int) -> Interval:
     """
     if not on_curve(C, P):
         raise PointNotOnCurve(f"{P} not on {C}")
-    Ci, u = integral_model(C)
-    Pi = point_to_integral(P, u)
-    if is_torsion(Ci, Pi):
-        return Interval.exact(0)
-    alpha, beta = defect_bounds(Ci)
-    chain = XChain(Ci, Pi)
-    for _ in range(depth):
-        chain.step()
-    return _chain_height_interval(chain, alpha, beta)
+    return _Model(C).enclose(P, depth)
 
 
 def canonical_height(C: Curve, P: Point, tol=Decimal("1e-6")) -> HeightEstimate:
@@ -219,19 +227,17 @@ def canonical_height(C: Curve, P: Point, tol=Decimal("1e-6")) -> HeightEstimate:
         raise ValueError("tol must be positive")
     if not on_curve(C, P):
         raise PointNotOnCurve(f"{P} not on {C}")
-    Ci, u = integral_model(C)
-    Pi = point_to_integral(P, u)
-    if is_torsion(Ci, Pi):
+    m = _Model(C)
+    chain = m.chain(P)
+    if chain is None:
         return HeightEstimate(value=Decimal(0), error_bound=tol_d)
-    alpha, beta = defect_bounds(Ci)
-    depth = depth_for_tolerance(alpha, beta, tol_d)
-    chain = XChain(Ci, Pi)
+    depth = depth_for_tolerance(m.alpha, m.beta, tol_d)
     for _ in range(depth):
         chain.step()
-    est = _estimate(_chain_height_interval(chain, alpha, beta))
+    est = _estimate(m.interval(chain))
     if est.error_bound > tol_d and depth < DEPTH_CAP:
         chain.step()
-        est = _estimate(_chain_height_interval(chain, alpha, beta))
+        est = _estimate(m.interval(chain))
     if est.error_bound > tol_d:
         raise ToleranceUnreachable(f"claimed error {est.error_bound} exceeds {tol_d}")
     return est
@@ -239,22 +245,10 @@ def canonical_height(C: Curve, P: Point, tol=Decimal("1e-6")) -> HeightEstimate:
 
 def height_pairing(C: Curve, P: Point, Q: Point, tol=Decimal("1e-6")) -> Interval:
     """Enclosure of <P,Q> = (hhat(P+Q) - hhat(P) - hhat(Q))/2."""
-    tol_d = _as_decimal(tol)
-    Ci, u = integral_model(C)
-    Pi, Qi = point_to_integral(P, u), point_to_integral(Q, u)
-    alpha, beta = defect_bounds(Ci)
-    depth = depth_for_tolerance(alpha, beta, tol_d)
-
-    def hh(R: Point) -> Interval:
-        if R.is_infinity or is_torsion(Ci, R):
-            return Interval.exact(0)
-        chain = XChain(Ci, R)
-        for _ in range(depth):
-            chain.step()
-        return _chain_height_interval(chain, alpha, beta)
-
-    S = add(Ci, Pi, Qi)
-    return (hh(S) - hh(Pi) - hh(Qi)).div_exact_int(2)
+    m = _Model(C)
+    depth = depth_for_tolerance(m.alpha, m.beta, _as_decimal(tol))
+    S = add(C, P, Q)
+    return (m.enclose(S, depth) - m.enclose(P, depth) - m.enclose(Q, depth)).div_exact_int(2)
 
 
 @dataclass(frozen=True)
@@ -302,50 +296,28 @@ def gram_certify(C: Curve, points: Sequence[Point], tol=Decimal("1e-4")) -> Gram
     if len({(P.x, P.y) for P in pts}) != len(pts):
         raise ValueError("points must be pairwise distinct")
 
-    Ci, u = integral_model(C)
-    ipts = [point_to_integral(P, u) for P in pts]
-    alpha, beta = defect_bounds(Ci)
+    m = _Model(C)
     try:
-        target = depth_for_tolerance(alpha, beta, tol_d)
+        target = depth_for_tolerance(m.alpha, m.beta, tol_d)
     except ToleranceUnreachable:
         target = DEPTH_CAP
 
-    k = len(ipts)
-    need: dict[tuple[int, int], Point] = {}
-    for i in range(k):
-        need[(i, i)] = ipts[i]
-        for j in range(i + 1, k):
-            need[(i, j)] = add(Ci, ipts[i], ipts[j])
-
+    # Sums are taken on C: the integral-model map is a group isomorphism,
+    # so chain() sees the same points either way.
+    k = len(pts)
     chains: dict[tuple[int, int], Optional[XChain]] = {}
-    for key, R in need.items():
-        if R.is_infinity or is_torsion(Ci, R):
-            chains[key] = None  # exact zero height
-        else:
-            chains[key] = XChain(Ci, R)
+    for i in range(k):
+        chains[(i, i)] = m.chain(pts[i])
+        for j in range(i + 1, k):
+            chains[(i, j)] = m.chain(add(C, pts[i], pts[j]))
 
-    def intervals() -> dict[tuple[int, int], Interval]:
-        out = {}
-        for key, ch in chains.items():
-            if ch is None:
-                out[key] = Interval.exact(0)
-            else:
-                out[key] = _chain_height_interval(ch, alpha, beta)
-        return out
-
-    def gram_matrix(h: dict[tuple[int, int], Interval]) -> list[list[Interval]]:
+    while True:
+        h = {key: m.interval(ch) for key, ch in chains.items()}
         M = [[None] * k for _ in range(k)]
         for i in range(k):
             M[i][i] = h[(i, i)]
             for j in range(i + 1, k):
-                entry = (h[(i, j)] - h[(i, i)] - h[(j, j)]).div_exact_int(2)
-                M[i][j] = entry
-                M[j][i] = entry
-        return M
-
-    while True:
-        h = intervals()
-        M = gram_matrix(h)
+                M[i][j] = M[j][i] = (h[(i, j)] - h[(i, i)] - h[(j, j)]).div_exact_int(2)
         det = det_interval(M)
         if det.strictly_positive():
             break
@@ -361,12 +333,10 @@ def gram_certify(C: Curve, points: Sequence[Point], tol=Decimal("1e-4")) -> Gram
         for ch in live:
             ch.step()
 
-    entries = tuple(tuple(row) for row in M)
-    heights = tuple(_estimate(h[(i, i)]) for i in range(k))
     return GramCertificate(
         points=tuple(pts),
-        entries=entries,
+        entries=tuple(tuple(row) for row in M),
         det_lower_bound=det.lo,
         certified=det.strictly_positive(),
-        heights=heights,
+        heights=tuple(_estimate(h[(i, i)]) for i in range(k)),
     )

@@ -109,6 +109,43 @@ def test_neron_needs_pencil(tmp_path):
     assert main(["neron", "--family", fam, "--bound", "3"]) == 2
 
 
+def test_neron_skips_section_pole(tmp_path, capsys):
+    # Y^2 = X^3 + lam^2 X - 1 with section (1/lam^2, 1/lam^3): the fiber at
+    # lam = 0 is smooth, but the section has a pole there.
+    fam = _write(tmp_path, "p.json", {
+        "kind": "weierstrass_pencil",
+        "A": {"num": ["0", "0", "1"], "den": ["1"]},
+        "B": {"num": ["-1"], "den": ["1"]},
+        "sections": [[{"num": ["1"], "den": ["0", "0", "1"]},
+                      {"num": ["1"], "den": ["0", "0", "0", "1"]}]],
+    })
+    assert main(["validate", fam]) == 0
+    out = str(tmp_path / "neron.json")
+    assert main(["neron", "--family", fam, "--bound", "5", "--out", out]) == 0
+    rep = json.loads(Path(out).read_text())
+    assert rep["sampled"] == 38  # all 39 parameters of height <= 5 but lam = 0
+    scan_out = str(tmp_path / "scan.csv")
+    assert main(["scan", "--family", fam, "--bound", "3", "--out", scan_out]) == 0
+    assert not any(l.startswith("0,") for l in Path(scan_out).read_text().splitlines())
+
+
+def test_neron_rejects_what_validate_rejects(tmp_path, capsys):
+    # A = B = 0 is singular in every fiber; validate rejects it.
+    fam = _write(tmp_path, "p.json", {
+        "kind": "weierstrass_pencil",
+        "A": {"num": ["0"], "den": ["1"]},
+        "B": {"num": ["0"], "den": ["1"]},
+        "sections": [[{"num": ["0", "0", "1"], "den": ["1"]},
+                      {"num": ["0", "0", "0", "1"], "den": ["1"]}]],
+    })
+    assert main(["validate", fam]) == 2
+    capsys.readouterr()
+    out = str(tmp_path / "neron.json")
+    assert main(["neron", "--family", fam, "--bound", "3", "--out", out]) == 2
+    assert "[pencil-singular]" in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
 def test_height_command(capsys):
     rc = main(["height", "--curve=-16,16", "--point", "0,4", "--tol", "1e-5"])
     assert rc == 0
