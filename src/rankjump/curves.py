@@ -258,8 +258,7 @@ def reduce_mod_p(C: Curve, P: Point, p: int) -> tuple[CurveFp, Optional[tuple[in
     """
     Ci, u = integral_model(C)
     _require(C, P)
-    disc_num = int(-16 * (4 * Ci.A**3 + 27 * Ci.B**2))
-    if disc_num % p == 0:
+    if int(Ci.discriminant) % p == 0:
         raise BadReduction(f"p={p} divides the discriminant")
     cfp = CurveFp(int(Ci.A) % p, int(Ci.B) % p, p)
     if P.is_infinity:
@@ -275,7 +274,7 @@ def reduce_mod_p(C: Curve, P: Point, p: int) -> tuple[CurveFp, Optional[tuple[in
 def good_primes(C: Curve, count: int, start: int = 3) -> list[int]:
     """The first `count` odd primes not dividing the integral discriminant."""
     Ci, _ = integral_model(C)
-    disc = int(-16 * (4 * Ci.A**3 + 27 * Ci.B**2))
+    disc = int(Ci.discriminant)
     out: list[int] = []
     p = start
     while len(out) < count:

@@ -128,9 +128,8 @@ def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> Witnes
         raise PointNotOnCurve("witness does not lie on the fiber")
 
     torsion = is_torsion(C, w.witness)
-    pts = list(live_sections)
-    if not torsion and all((P.x, P.y) != (w.witness.x, w.witness.y) for P in pts):
-        pts.append(w.witness)
+    # Sections may meet at this parameter; a bound from distinct points is sound.
+    pts = list(dict.fromkeys(live_sections + ([] if torsion else [w.witness])))
     gram = gram_certify(C, pts, gram_tol) if pts else None
     if not torsion and not gram.certified and len(pts) > 1:
         pts = [w.witness]
@@ -302,8 +301,8 @@ def neron_check(f: WeierstrassPencil, bound: int, tol=DEFAULT_SCAN_TOL) -> Neron
         except (DegenerateFiber, PoleAtPoint):
             continue
         sampled += 1
-        gram = gram_certify(fib.curve, pts, tol_d / 10)
-        if gram.certified:
+        # Sections that meet at lam are dependent; only the relation search applies.
+        if len(set(pts)) == len(pts) and gram_certify(fib.curve, pts, tol_d / 10).certified:
             certified += 1
             continue
         rel = small_relation_search(fib.curve, pts, 12)
@@ -425,8 +424,6 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
         P = Point(d * (x0 + shift), d * d * s)
         _require(on_curve(twist, P), f"twist point from x0 = {n} is off its twist")
         if is_torsion(twist, P):
-            continue
-        if any(c.squarefree == cls.squarefree for c in classes):
             continue
         ok, _ = square_class_independent(classes + [cls])
         if not ok:

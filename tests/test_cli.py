@@ -146,6 +146,46 @@ def test_neron_rejects_what_validate_rejects(tmp_path, capsys):
     assert not Path(out).exists()
 
 
+# Sections (0, 1) and (lam, 1 + lam) meet at lam = 0 in a non-torsion point.
+MEETING_PENCIL = {
+    "kind": "weierstrass_pencil",
+    "A": ["2", "1", "-1"],
+    "B": ["1"],
+    "sections": [[["0"], ["1"]], [["0", "1"], ["1", "1"]]],
+}
+
+
+def test_scan_sections_meeting(tmp_path):
+    fam = _write(tmp_path, "p.json", MEETING_PENCIL)
+    assert main(["validate", fam]) == 0
+    out = str(tmp_path / "scan.json")
+    args = ["scan", "--family", fam, "--bound", "2", "--mode", "fiber-first"]
+    assert main(args + ["--format", "json", "--out", out]) == 0
+    at0 = [c for c in json.loads(Path(out).read_text())["certificates"] if c["param"] == "0"]
+    assert [(c["status"], c["certified_rank_lb"], c["jump"]) for c in at0] == [
+        ("certified", 1, False)
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, relation",
+    [
+        (MEETING_PENCIL, [-12, 12]),
+        # (lam, lam) and (lam, -lam) are both (0, 0) at lam = 0.
+        ({**PENCIL, "sections": PENCIL["sections"] + [[["0", "1"], ["0", "-1"]]]}, [-12, -12]),
+    ],
+)
+def test_neron_sections_meeting(tmp_path, family, relation):
+    fam = _write(tmp_path, "p.json", family)
+    assert main(["validate", fam]) == 0
+    out = str(tmp_path / "neron.json")
+    # Bound 1 reaches lam = 0; at bound 2 the relation search at lam = 1/2 takes ~30 s.
+    assert main(["neron", "--family", fam, "--bound", "1", "--out", out]) == 0
+    rep = json.loads(Path(out).read_text())
+    at0 = [d for d in rep["exact_dependent"] if d["param"] == "0"]
+    assert [d["relation"] for d in at0] == [relation]
+
+
 def test_height_command(capsys):
     rc = main(["height", "--curve=-16,16", "--point", "0,4", "--tol", "1e-5"])
     assert rc == 0

@@ -13,7 +13,7 @@ from rankjump.engine import (
     neron_check,
     scan,
 )
-from rankjump.errors import SearchExhausted
+from rankjump.errors import PointNotOnCurve, SearchExhausted
 from rankjump.families import (
     CubicPencil,
     TotalSpacePoint,
@@ -76,6 +76,13 @@ def test_certify_fiber_with_sections():
         cert = certify_fiber(PENCIL, target[0])
         assert cert.declared_generic_rank == 1
         assert cert.section_points
+
+
+def test_certify_fiber_rejects_off_fiber_witness():
+    # The fiber at lam = 2 is y^2 = x^3 + x - 6; (1, 1) is not on it.
+    w = TotalSpacePoint(param=Fraction(2), witness=point(1, 1))
+    with pytest.raises(PointNotOnCurve):
+        certify_fiber(PENCIL, w)
 
 
 def test_no_false_jump_on_dependent_witness():

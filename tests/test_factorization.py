@@ -9,6 +9,7 @@ from oracles import brute_force_subset_square
 from rankjump.errors import UnitClass, ZeroInput
 from rankjump.factorization import (
     factorize,
+    is_probable_prime,
     square_class_independent,
     squarefree_part,
     squarefree_part_of_rational,
@@ -20,11 +21,28 @@ def test_factorize_small():
     assert factorize(24) == {2: 3, 3: 1}
     assert factorize(97) == {97: 1}
     assert factorize(2**10 * 3**5 * 1009) == {2: 10, 3: 5, 1009: 1}
+    # Prime powers above the trial-division bound are split by rho.
+    assert factorize(1009**3) == {1009: 3}
+    assert factorize((1013 * 1019) ** 2) == {1013: 2, 1019: 2}
+    assert factorize(997**5 * 1009) == {997: 5, 1009: 1}
 
 
 def test_factorize_large_semiprime():
     p, q = 1000003, 999983
     assert factorize(p * q) == {q: 1, p: 1}
+
+
+def test_factorize_random_roundtrip():
+    rng = random.Random(20261018)
+    for _ in range(2_000):
+        n = rng.randint(1, 10**15)
+        fac = factorize(n)
+        assert list(fac) == sorted(fac)
+        prod = 1
+        for p, e in fac.items():
+            assert e >= 1 and is_probable_prime(p)
+            prod *= p**e
+        assert prod == n
 
 
 def test_squarefree_examples():
