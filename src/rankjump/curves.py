@@ -1,9 +1,22 @@
 """Short Weierstrass curves y^2 = x^3 + Ax + B over Q.
 
 Exact chord-tangent group law, integral models, reduction mod p, the
-order-<=-12 torsion screen (sufficient over Q by the uniform torsion
-bound), and an exhaustive small-relation search used for negative
+torsion screen, and an exhaustive small-relation search used for negative
 controls.
+
+The torsion screen rests on Silverman, AEC VII.3: at an odd prime p of
+good reduction, reduction E(Q) -> E(F_p) is injective on torsion and its
+kernel E_1(Q_p) is torsion-free. So a rational point keeps its order under
+reduction, and a point of order <= 12 (every rational torsion order, by
+Mazur) is found by walking its reduction and confirmed by one exact
+multiple. The screen starts at p = 1009: by Hasse |E(F_p)| >= 947 there, so
+a non-torsion point rarely reduces to an order <= 12 and needs the exact
+multiple, and the bad primes of the curves met in practice lie far below
+it, so the first candidate is nearly always good.
+
+Points are checked on the curve at the public boundary (`add`, `mul`,
+`torsion_order`, `reduce_mod_p`, `small_relation_search`); the internal
+group law `_add`/`_mul` trusts its inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +31,9 @@ from .rationals import format_rational, parse_rational
 
 # Every rational torsion point has order <= 12 (uniform bound over Q).
 TORSION_ORDER_BOUND = 12
+
+# First prime tried by the torsion screen and the relation-search filter.
+SCREEN_PRIME_START = 1009
 
 
 @dataclass(frozen=True)
@@ -86,9 +102,15 @@ def format_point(P: Point) -> str:
 
 
 def on_curve(C: Curve, P: Point) -> bool:
+    """y^2 = x^3 + Ax + B, in integers with every denominator cleared."""
     if P.is_infinity:
         return True
-    return P.y * P.y == P.x**3 + C.A * P.x + C.B
+    u, v = P.x.numerator, P.x.denominator
+    s, t = P.y.numerator, P.y.denominator
+    a, dA = C.A.numerator, C.A.denominator
+    b, dB = C.B.numerator, C.B.denominator
+    v3 = v**3
+    return s * s * v3 * dA * dB == t * t * ((u**3 * dA + a * u * v * v) * dB + b * dA * v3)
 
 
 def _require(C: Curve, P: Point) -> None:
@@ -102,9 +124,8 @@ def neg(P: Point) -> Point:
     return Point(P.x, -P.y)
 
 
-def add(C: Curve, P: Point, Q: Point) -> Point:
-    _require(C, P)
-    _require(C, Q)
+def _add(C: Curve, P: Point, Q: Point) -> Point:
+    """The chord-tangent law, with no on-curve checks."""
     if P.is_infinity:
         return Q
     if Q.is_infinity:
@@ -120,6 +141,12 @@ def add(C: Curve, P: Point, Q: Point) -> Point:
     return Point(x3, y3)
 
 
+def add(C: Curve, P: Point, Q: Point) -> Point:
+    _require(C, P)
+    _require(C, Q)
+    return _add(C, P, Q)
+
+
 def sub(C: Curve, P: Point, Q: Point) -> Point:
     return add(C, P, neg(Q))
 
@@ -128,19 +155,24 @@ def double(C: Curve, P: Point) -> Point:
     return add(C, P, P)
 
 
-def mul(C: Curve, n: int, P: Point) -> Point:
-    _require(C, P)
+def _mul(C: Curve, n: int, P: Point) -> Point:
+    """n P by double-and-add, with no on-curve checks."""
     if n < 0:
-        return neg(mul(C, -n, P))
+        return neg(_mul(C, -n, P))
     R = INFINITY
     Q = P
     while n:
         if n & 1:
-            R = add(C, R, Q)
+            R = _add(C, R, Q)
         n >>= 1
         if n:
-            Q = add(C, Q, Q)
+            Q = _add(C, Q, Q)
     return R
+
+
+def mul(C: Curve, n: int, P: Point) -> Point:
+    _require(C, P)
+    return _mul(C, n, P)
 
 
 def _den_valuations(q: Fraction) -> dict[int, int]:
@@ -177,20 +209,29 @@ def point_from_integral(P: Point, u: int) -> Point:
 
 
 def is_torsion(C: Curve, P: Point) -> bool:
-    """n P = O for some 1 <= n <= 12, checked with exact arithmetic."""
+    """n P = O for some 1 <= n <= 12, decided by `torsion_order`."""
     return torsion_order(C, P) is not None
 
 
 def torsion_order(C: Curve, P: Point) -> Optional[int]:
-    """Order of P when <= 12, else None."""
-    _require(C, P)
+    """Order of P when <= 12, else None.
+
+    Decided at the first good prime p >= 1009 (AEC VII.3): reduction is
+    injective on torsion and E_1(Q_p) is torsion-free for odd p. If P
+    reduces to O it is non-torsion. Otherwise the first n <= 12 with
+    n P mod p = O is the only possible order, confirmed by one exact
+    n P = O; when no n <= 12 kills P mod p, P has no order <= 12.
+    """
     if P.is_infinity:
         return 1
-    Q = P
+    cfp, R = reduce_mod_p(C, P, good_primes(C, 1, SCREEN_PRIME_START)[0])
+    if R is None:
+        return None
+    Q = R
     for n in range(2, TORSION_ORDER_BOUND + 1):
-        Q = add(C, Q, P)
-        if Q.is_infinity:
-            return n
+        Q = cfp.add(Q, R)
+        if Q is None:
+            return n if _mul(C, n, P).is_infinity else None
     return None
 
 
@@ -249,36 +290,44 @@ class CurveFp:
         return R
 
 
-def reduce_mod_p(C: Curve, P: Point, p: int) -> tuple[CurveFp, Optional[tuple[int, int]]]:
-    """Reduce the integral model and P at a prime of good reduction.
+def _bad_part(C: Curve) -> int:
+    """2 den(A) den(B) (4a^3 d_B^2 + 27b^2 d_A^3) for A = a/d_A, B = b/d_B:
+    an odd prime not dividing it divides neither den(A), den(B) nor
+    num(4A^3 + 27B^2), so C is p-integral with good reduction at p."""
+    a, dA = C.A.numerator, C.A.denominator
+    b, dB = C.B.numerator, C.B.denominator
+    return 2 * dA * dB * (4 * a**3 * dB**2 + 27 * b**2 * dA**3)
 
-    Points with p in the denominator reduce to the point at infinity.
-    Raises BadReduction when p divides the integral discriminant (p = 2
-    always does: the short-model discriminant carries a factor 16).
+
+def _mod(q: Fraction, p: int) -> int:
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def reduce_mod_p(C: Curve, P: Point, p: int) -> tuple[CurveFp, Optional[tuple[int, int]]]:
+    """Reduce C and P at a prime p of good reduction for C itself.
+
+    p must be odd and divide neither den(A), den(B) nor the numerator of
+    the discriminant (the primes `good_primes` returns); no integral model
+    is taken. Points with p in a denominator reduce to the point at
+    infinity. Raises BadReduction at any other p (p = 2 always).
     """
-    Ci, u = integral_model(C)
     _require(C, P)
-    if int(Ci.discriminant) % p == 0:
-        raise BadReduction(f"p={p} divides the discriminant")
-    cfp = CurveFp(int(Ci.A) % p, int(Ci.B) % p, p)
-    if P.is_infinity:
+    if _bad_part(C) % p == 0:
+        raise BadReduction(f"p={p} divides 2, a denominator of A or B, or the discriminant")
+    cfp = CurveFp(_mod(C.A, p), _mod(C.B, p), p)
+    if P.is_infinity or P.x.denominator % p == 0:  # then p | den(y) too
         return cfp, None
-    Pi = point_to_integral(P, u)
-    if Pi.x.denominator % p == 0 or Pi.y.denominator % p == 0:
-        return cfp, None
-    x = Pi.x.numerator * pow(Pi.x.denominator, -1, p) % p
-    y = Pi.y.numerator * pow(Pi.y.denominator, -1, p) % p
-    return cfp, (x, y)
+    return cfp, (_mod(P.x, p), _mod(P.y, p))
 
 
 def good_primes(C: Curve, count: int, start: int = 3) -> list[int]:
-    """The first `count` odd primes not dividing the integral discriminant."""
-    Ci, _ = integral_model(C)
-    disc = int(Ci.discriminant)
+    """The first `count` odd primes >= start at which C itself has good
+    reduction: p divides neither den(A), den(B) nor num(disc)."""
+    bad = _bad_part(C)
     out: list[int] = []
-    p = start
+    p = start | 1
     while len(out) < count:
-        if is_probable_prime(p) and disc % p != 0:
+        if is_probable_prime(p) and bad % p != 0:
             out.append(p)
         p += 2
     return out
@@ -297,7 +346,8 @@ def small_relation_search(
     sum n_i P_i torsion — or None when no such relation exists in the box.
 
     Exhaustive and exact; candidate combinations are prefiltered at two
-    good primes before the exact verification.
+    good primes >= 1009 before the exact verification: a torsion sum has
+    order <= 12 mod p, so the filter never drops a relation.
     """
     if bound_n > 16:
         raise ValueError("bound_n must be <= 16")
@@ -312,12 +362,12 @@ def small_relation_search(
     for P in points:
         tab = {0: INFINITY, 1: P}
         for n in range(2, bound_n + 1):
-            tab[n] = add(C, tab[n - 1], P)
+            tab[n] = _add(C, tab[n - 1], P)
         for n in range(1, bound_n + 1):
             tab[-n] = neg(tab[n])
         tables.append(tab)
 
-    primes = good_primes(C, 2)
+    primes = good_primes(C, 2, SCREEN_PRIME_START)
     fp_tables = []
     for p in primes:
         cfp = None
@@ -350,7 +400,7 @@ def small_relation_search(
             continue
         S = INFINITY
         for i, n in enumerate(combo):
-            S = add(C, S, tables[i][n])
+            S = _add(C, S, tables[i][n])
         if S.is_infinity or is_torsion(C, S):
             return combo
     return None

@@ -173,3 +173,152 @@ def test_point_wire_format():
     assert parse_point("inf").is_infinity
     P = point(Fraction(-144, 25), Fraction(-504, 125))
     assert parse_point(format_point(P)) == P
+
+
+# ---------------------------------------------------------------------------
+# The mod-p torsion screen against the oracle group law
+
+
+def _oracle_order(C, P):
+    """The first n <= 12 with oracle_mul(n, P) = O, walked one oracle_add
+    at a time (oracle_mul's own loop), else None."""
+    if P.is_infinity:
+        return 1
+    R = None
+    for n in range(1, 13):
+        R = oracle_add(C.A, C.B, R, (P.x, P.y))
+        if R is None:
+            return n
+    return None
+
+
+def _tate_point(b, c):
+    """(0, 0) on y^2 + (1-c)xy - by = x^3 - bx^2, moved to short form."""
+    a1, a3 = 1 - c, -b
+    b2, b4, b6 = a1 * a1 - 4 * b, a1 * a3, a3 * a3
+    c4, c6 = b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
+    return Curve(-27 * c4, -54 * c6), point(3 * b2, 108 * a3)
+
+
+def _tate_bc(n, t):
+    """Kubert's (b, c) giving (0, 0) order n in Tate normal form."""
+    if n == 4:
+        return t, Fraction(0)
+    if n == 5:
+        return t, t
+    if n == 6:
+        return t + t * t, t
+    if n == 7:
+        return t**3 - t**2, t**2 - t
+    if n == 8:
+        return (2 * t - 1) * (t - 1), (2 * t - 1) * (t - 1) / t
+    if n == 9:
+        c = t * t * (t - 1)
+        return c * (t * t - t + 1), c
+    if n == 10:
+        d = t * t / (t - (t - 1) ** 2)
+        c = t * d - t
+        return c * d, c
+    m = (3 * t - 3 * t * t - 1) / (t - 1)  # n == 12
+    f = m / (1 - t)
+    d = m + t
+    c = f * (d - 1)
+    return c * d, c
+
+
+def _torsion_points():
+    """(C, P) with P of every order in {1..10, 12}: the Tate points and
+    their multiples, plus orders 1, 2 and 3 on y^2 = x^3 - x, x^3 + 1."""
+    out = [(curve(-1, 0), INFINITY), (curve(-1, 0), point(1, 0)), (curve(0, 1), point(0, 1))]
+    for n in (4, 5, 6, 7, 8, 9, 10, 12):
+        for t in (Fraction(2), Fraction(-1, 3)):
+            C, P = _tate_point(*_tate_bc(n, t))
+            out += [(C, mul(C, k, P)) for k in range(1, n + 1)]
+    return out
+
+
+def _rescale(C, P, u):
+    """The model (u^4 A, u^6 B) and P's image (u^2 x, u^3 y)."""
+    return Curve(C.A * u**4, C.B * u**6), P if P.is_infinity else point(P.x * u * u, P.y * u**3)
+
+
+def _check_screen(C, P):
+    want = _oracle_order(C, P)
+    assert torsion_order(C, P) == want, (C, P)
+    assert is_torsion(C, P) == (want is not None)
+    return want
+
+
+@pytest.mark.parametrize("u", [Fraction(1), Fraction(2, 3), Fraction(1, 6), Fraction(5)])
+def test_torsion_screen_every_order(u):
+    orders = set()
+    for C, P in _torsion_points():
+        orders.add(_check_screen(*_rescale(C, P, u)))
+    assert orders == {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12}
+
+
+def test_torsion_screen_point_reducing_to_infinity_at_1009():
+    # (w^2/1009^2, w^3/1009^3) on y^2 = x^3 + 1009^2 a x - a w^2, good at 1009.
+    for a, w in ((1, 1), (3, 2), (-2, 5)):
+        C = curve(1009**2 * a, -a * w * w)
+        P = point(Fraction(w * w, 1009**2), Fraction(w**3, 1009**3))
+        assert good_primes(C, 1, 1009) == [1009]
+        assert reduce_mod_p(C, P, 1009)[1] is None
+        assert _check_screen(C, P) is None
+
+
+def test_torsion_screen_moves_past_bad_1009():
+    # Scaling by u = 1009 puts 1009^12 in the discriminant; u = 1/1009 puts
+    # 1009 in the denominators of A and B.  Either way 1009 is bad.
+    for u, bad in ((Fraction(1009), 1009), (Fraction(1, 1009), 1009), (Fraction(1009 * 1013), 1013)):
+        seen = set()
+        for C, P in _torsion_points()[::3] + [(curve(-36, 0), point(12, 36))]:
+            C, P = _rescale(C, P, u)
+            assert good_primes(C, 1, 1009)[0] > bad
+            seen.add(_check_screen(C, P))
+        assert None in seen and len(seen) > 5
+
+
+def test_torsion_screen_random_non_torsion():
+    rng = random.Random(20240)
+    non_torsion = confirmed = 0
+    while non_torsion < 2000:
+        C, P, Q = _random_two_point_curve(rng)
+        for a, b in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2), (2, 1), (1, 2)):
+            R = add(C, mul(C, a, P), mul(C, b, Q))
+            if _check_screen(C, R) is not None:
+                continue
+            non_torsion += 1
+            # Count the points whose reduction has order <= 12 anyway, so
+            # the exact confirmation rejects them.
+            cfp, Rb = reduce_mod_p(C, R, good_primes(C, 1, 1009)[0])
+            confirmed += Rb is not None and any(cfp.mul(n, Rb) is None for n in range(2, 13))
+    assert confirmed > 0
+
+
+def test_reduce_mod_p_non_integral_curve():
+    C = curve(Fraction(-1, 4), Fraction(1, 9))  # 4A^3 + 27B^2 = 13/48
+    for p in (2, 3, 13):
+        with pytest.raises(BadReduction):
+            reduce_mod_p(C, INFINITY, p)
+    assert good_primes(C, 3) == [5, 7, 11]
+    assert good_primes(C, 2, 1000) == good_primes(C, 2, 1009) == [1009, 1013]
+    P = point(0, Fraction(1, 3))
+    Q = point(Fraction(1, 2), Fraction(1, 3))
+    pts = [P, Q, add(C, P, Q), mul(C, 2, P), mul(C, 3, Q), add(C, P, neg(Q))]
+    for p in good_primes(C, 3) + good_primes(C, 2, 1009):
+        for S in pts:
+            for T in pts:
+                cfp, Sb = reduce_mod_p(C, S, p)
+                _, Tb = reduce_mod_p(C, T, p)
+                assert cfp.contains(Sb)
+                assert cfp.add(Sb, Tb) == reduce_mod_p(C, add(C, S, T), p)[1]
+
+
+def test_small_relation_search_meeting_fiber():
+    # The lam = 1/2 fiber of y^2 = x^3 + (2 + lam - lam^2)x + 1 with the
+    # sections (0, 1) and (lam, 1 + lam).
+    C = curve(Fraction(9, 4), 1)
+    P, Q = point(0, 1), point(Fraction(1, 2), Fraction(3, 2))
+    assert small_relation_search(C, [P, Q], 12) == (-6, -12)
+    assert add(C, mul(C, -6, P), mul(C, -12, Q)) == INFINITY
