@@ -102,15 +102,9 @@ def format_point(P: Point) -> str:
 
 
 def on_curve(C: Curve, P: Point) -> bool:
-    """y^2 = x^3 + Ax + B, in integers with every denominator cleared."""
     if P.is_infinity:
         return True
-    u, v = P.x.numerator, P.x.denominator
-    s, t = P.y.numerator, P.y.denominator
-    a, dA = C.A.numerator, C.A.denominator
-    b, dB = C.B.numerator, C.B.denominator
-    v3 = v**3
-    return s * s * v3 * dA * dB == t * t * ((u**3 * dA + a * u * v * v) * dB + b * dA * v3)
+    return P.y * P.y == P.x**3 + C.A * P.x + C.B
 
 
 def _require(C: Curve, P: Point) -> None:
@@ -291,12 +285,9 @@ class CurveFp:
 
 
 def _bad_part(C: Curve) -> int:
-    """2 den(A) den(B) (4a^3 d_B^2 + 27b^2 d_A^3) for A = a/d_A, B = b/d_B:
-    an odd prime not dividing it divides neither den(A), den(B) nor
-    num(4A^3 + 27B^2), so C is p-integral with good reduction at p."""
-    a, dA = C.A.numerator, C.A.denominator
-    b, dB = C.B.numerator, C.B.denominator
-    return 2 * dA * dB * (4 * a**3 * dB**2 + 27 * b**2 * dA**3)
+    """2 den(A) den(B) num(disc): an odd prime not dividing it leaves C
+    p-integral with good reduction at p."""
+    return 2 * C.A.denominator * C.B.denominator * C.discriminant.numerator
 
 
 def _mod(q: Fraction, p: int) -> int:

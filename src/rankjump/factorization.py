@@ -27,8 +27,6 @@ def is_probable_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n < 43 * 43:  # no prime factor <= 41
-        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
