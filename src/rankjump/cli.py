@@ -47,6 +47,17 @@ def _tol(text: str) -> Decimal:
     return tol
 
 
+def _jobs(text: str) -> int:
+    """--jobs: an integer >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _load_family(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -165,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=_tol, default="1e-4")
     s.add_argument("--out", default=None)
     s.add_argument("--format", choices=["csv", "json"], default="csv")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=_jobs, default=1)
     s.set_defaults(fn=cmd_scan)
 
     b = sub.add_parser("billing", help="multiquadratic rank-growth certificate")

@@ -51,10 +51,6 @@ class Curve:
     def discriminant(self) -> Fraction:
         return -16 * (4 * self.A**3 + 27 * self.B**2)
 
-    @property
-    def j_invariant(self) -> Fraction:
-        return 6912 * self.A**3 / (4 * self.A**3 + 27 * self.B**2)
-
     def __str__(self) -> str:
         return f"y^2 = x^3 + ({format_rational(self.A)})x + ({format_rational(self.B)})"
 
@@ -95,10 +91,6 @@ def parse_point(text: str) -> Point:
     if len(parts) != 2:
         raise ValueError(f"not a point: {text!r}")
     return Point(parse_rational(parts[0]), parse_rational(parts[1]))
-
-
-def format_point(P: Point) -> str:
-    return str(P)
 
 
 def on_curve(C: Curve, P: Point) -> bool:
@@ -194,12 +186,6 @@ def point_to_integral(P: Point, u: int) -> Point:
     if P.is_infinity:
         return P
     return Point(P.x * u * u, P.y * u**3)
-
-
-def point_from_integral(P: Point, u: int) -> Point:
-    if P.is_infinity:
-        return P
-    return Point(P.x / (u * u), P.y / u**3)
 
 
 def is_torsion(C: Curve, P: Point) -> bool:

@@ -40,7 +40,6 @@ from .families import (
     declared_generic_rank,
     family_id,
     fiber_at,
-    specialize_sections,
     witness_stream,
 )
 from .heights import GramCertificate, HeightEstimate, _as_decimal, gram_certify
@@ -109,7 +108,8 @@ CSV_COLUMNS = [
 
 
 def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> WitnessCertificate:
-    """Assemble and certify the point set {specialized sections} + {witness}.
+    """Assemble and certify the point set {specialized sections} + {witness}
+    on the candidate's fiber w.curve.
 
     A torsion witness never makes a jump: only the non-torsion sections are
     certified.  Otherwise the full Gram certificate is attempted and, on
@@ -120,8 +120,8 @@ def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> Witnes
     """
     gram_tol = _as_decimal(tol) / 10
     declared = declared_generic_rank(f)
-    C = fiber_at(f, w.param).curve
-    sections = specialize_sections(f, w.param)
+    C = w.curve
+    sections = f.sections_at(w.param, C)
     live_sections = [P for P in sections if not is_torsion(C, P)]
 
     if not on_curve(C, w.witness):
@@ -191,7 +191,7 @@ def _certify_candidate(args) -> Optional[WitnessCertificate]:
     f, w, tol = args
     try:
         return certify_fiber(f, w, tol)
-    except (DegenerateFiber, PoleAtPoint):
+    except PoleAtPoint:
         return None
 
 
@@ -210,6 +210,8 @@ def scan(
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     tol_d = _as_decimal(tol)
     points, stats = witness_stream(f, bound, mode)
 
@@ -296,16 +298,16 @@ def neron_check(f: WeierstrassPencil, bound: int, tol=DEFAULT_SCAN_TOL) -> Neron
     sampled = 0
     for lam in iter_rationals(bound):
         try:
-            fib = fiber_at(f, lam)
-            pts = specialize_sections(f, lam)
+            C = fiber_at(f, lam)
+            pts = f.sections_at(lam, C)
         except (DegenerateFiber, PoleAtPoint):
             continue
         sampled += 1
         # Sections that meet at lam are dependent; only the relation search applies.
-        if len(set(pts)) == len(pts) and gram_certify(fib.curve, pts, tol_d / 10).certified:
+        if len(set(pts)) == len(pts) and gram_certify(C, pts, tol_d / 10).certified:
             certified += 1
             continue
-        rel = small_relation_search(fib.curve, pts, 12)
+        rel = small_relation_search(C, pts, 12)
         if rel is not None:
             dependent.append((lam, rel))
         else:

@@ -15,13 +15,21 @@ packet of the zero section and is skipped.
 Each family kind is one frozen dataclass that owns what is specific to
 it: its identifier, validation findings, fiber at a parameter, witness
 walks and sections.  Its JSON fields are its dataclass fields.  The
-module functions dispatch to the kind.
+module functions dispatch to the kind.  What depends on the family alone
+(its identifier, a twist's depressed cubic and d(t)) is computed once per
+family object and cached on it; the cache is not a field, so equality,
+hashing and the JSON form ignore it.
+
+A candidate carries its fiber: the walk that finds a witness keeps the
+curve it built at that parameter, and certification runs on that curve
+instead of building the fiber again.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterator, Optional
 
@@ -60,16 +68,12 @@ from .rationals import (
 
 
 @dataclass(frozen=True)
-class Fiber:
+class TotalSpacePoint:
+    """A rational point of the total space seen inside its fiber: the
+    standardized curve at param and the witness on it."""
+
     param: Fraction
     curve: Curve
-
-
-@dataclass(frozen=True)
-class TotalSpacePoint:
-    """A rational point of the total space seen inside its fiber."""
-
-    param: Fraction
     witness: Point
 
 
@@ -105,13 +109,15 @@ class Family:
         if type(rank) is not int or rank < 0:
             raise FamilyFormatError(f"generic_rank must be an integer >= 0, got {rank!r}")
 
+    @cached_property
     def ident(self) -> str:
         return self.kind
 
     def findings(self) -> list[Finding]:
         return []
 
-    def sections_at(self, lam: Fraction) -> list[Point]:
+    def sections_at(self, lam: Fraction, C: Curve) -> list[Point]:
+        """The declared sections at lam, each verified on the fiber C."""
         return []
 
     def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
@@ -122,31 +128,35 @@ class Family:
         rats = list(iter_rationals(bound))
         for lam in rats:
             try:
-                fib = self.fiber(lam)
+                C = self.fiber(lam)
             except DegenerateFiber:
                 stats.degenerate_skipped += 1
                 continue
-            A, B = fib.curve.A, fib.curve.B
+            A, B = C.A, C.B
             for X0 in rats:
                 stats.enumerated += 1
                 Y0 = is_rational_square(X0**3 + A * X0 + B)
                 if Y0 is not None:
-                    yield TotalSpacePoint(param=lam, witness=Point(X0, Y0))
+                    yield TotalSpacePoint(param=lam, curve=C, witness=Point(X0, Y0))
 
 
 class _Twist(Family):
     """d(t) y^2 = p(x), with d(t) a polynomial `d` on every twist kind."""
 
-    def fiber(self, lam: Fraction) -> Fiber:
-        A, B, _ = depress_cubic(self.p)
+    @cached_property
+    def depressed(self) -> tuple[Fraction, Fraction, Fraction]:
+        """(A, B, s): p(x - s) = x^3 + Ax + B."""
+        return depress_cubic(self.p)
+
+    def fiber(self, lam: Fraction) -> Curve:
+        A, B, _ = self.depressed
         d0 = poly_eval(self.d, lam)
         if d0 == 0:
             raise DegenerateFiber(f"d({format_rational(lam)}) = 0")
         try:
-            cv = Curve(A * d0 * d0, B * d0**3)
+            return Curve(A * d0 * d0, B * d0**3)
         except SingularCurve as exc:
             raise DegenerateFiber(str(exc)) from exc
-        return Fiber(param=lam, curve=cv)
 
     def findings(self) -> list[Finding]:
         out: list[Finding] = []
@@ -219,6 +229,7 @@ class TwistLinear(_Twist):
     kind = "twist_linear"
     d = poly([0, 1])  # d(t) = t
 
+    @cached_property
     def ident(self) -> str:
         return f"twist_linear[p={poly_text(self.p)}]"
 
@@ -237,10 +248,11 @@ class TwistQuadratic(_Twist):
     generic_rank: int = 0
     kind = "twist_quadratic"
 
-    @property
+    @cached_property
     def d(self) -> Poly:
         return poly([-self.c * self.a, 0, self.c])
 
+    @cached_property
     def ident(self) -> str:
         return (
             f"twist_quadratic[c={format_rational(self.c)},a={format_rational(self.a)},"
@@ -278,6 +290,7 @@ class TwistPoly(_Twist):
     generic_rank: int = 0
     kind = "twist_poly"
 
+    @cached_property
     def ident(self) -> str:
         return f"twist_poly[d={poly_text(self.d, 't')},p={poly_text(self.p)}]"
 
@@ -296,12 +309,12 @@ class CubicPencil(Family):
     generic_rank: int = 0
     kind = "cubic_pencil"
 
-    def fiber(self, lam: Fraction) -> Fiber:
+    @staticmethod
+    def fiber(lam: Fraction) -> Curve:
         c = -(lam**3 + 1)
         if c == 0:
             raise DegenerateFiber("lam^3 + 1 = 0")
-        cv = Curve(Fraction(0), -432 * c * c)
-        return Fiber(param=lam, curve=cv)
+        return Curve(Fraction(0), -432 * c * c)
 
     def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
         for a, b in _euler_pairs(bound):
@@ -328,6 +341,7 @@ class WeierstrassPencil(Family):
     generic_rank: Optional[int] = None
     kind = "weierstrass_pencil"
 
+    @cached_property
     def ident(self) -> str:
         return f"weierstrass_pencil[{len(self.sections)} sections]"
 
@@ -354,19 +368,17 @@ class WeierstrassPencil(Family):
             )
         return out
 
-    def fiber(self, lam: Fraction) -> Fiber:
+    def fiber(self, lam: Fraction) -> Curve:
         try:
-            cv = Curve(self.A.eval(lam), self.B.eval(lam))
+            return Curve(self.A.eval(lam), self.B.eval(lam))
         except (PoleAtPoint, SingularCurve) as exc:
             raise DegenerateFiber(str(exc)) from exc
-        return Fiber(param=lam, curve=cv)
 
-    def sections_at(self, lam: Fraction) -> list[Point]:
-        fib = fiber_at(self, lam)
+    def sections_at(self, lam: Fraction, C: Curve) -> list[Point]:
         out = []
         for X, Y in self.sections:
             P = Point(X.eval(lam), Y.eval(lam))
-            if not on_curve(fib.curve, P):
+            if not on_curve(C, P):
                 raise NotOnTotalSpace(f"section specializes off the fiber at {lam}")
             out.append(P)
         return out
@@ -384,7 +396,7 @@ def declared_generic_rank(f: Family) -> int:
 
 
 def family_id(f: Family) -> str:
-    return f.ident()
+    return f.ident
 
 
 def validate_family(f: Family) -> list[Finding]:
@@ -392,15 +404,9 @@ def validate_family(f: Family) -> list[Finding]:
     return f.findings()
 
 
-def fiber_at(f: Family, lam: Fraction) -> Fiber:
+def fiber_at(f: Family, lam: Fraction) -> Curve:
     """The standardized fiber at a parameter; raises DegenerateFiber."""
     return f.fiber(Fraction(lam))
-
-
-def specialize_sections(f: Family, lam: Fraction) -> list[Point]:
-    """Evaluate each declared section at lam and verify it on the fiber;
-    kinds without sections have none."""
-    return f.sections_at(lam)
 
 
 def twist_witness(f: Family, lam: Fraction, x0: Fraction, y0: Fraction) -> TotalSpacePoint:
@@ -411,28 +417,24 @@ def twist_witness(f: Family, lam: Fraction, x0: Fraction, y0: Fraction) -> Total
         raise NotOnTotalSpace(
             f"d({format_rational(lam)})*y0^2 != p(x0) at ({format_rational(x0)}, {format_rational(y0)})"
         )
-    f.fiber(lam)  # raises DegenerateFiber
-    _, _, s = depress_cubic(f.p)
-    W = Point(d0 * (x0 + s), d0 * d0 * y0)
-    return TotalSpacePoint(param=lam, witness=W)
+    C = f.fiber(lam)  # raises DegenerateFiber
+    s = f.depressed[2]
+    return TotalSpacePoint(param=lam, curve=C, witness=Point(d0 * (x0 + s), d0 * d0 * y0))
 
 
 def cubic_witness(lam: Fraction, x: Fraction, y: Fraction) -> TotalSpacePoint:
     """Map (x, y) with x^3 + y^3 = -(lam^3+1) into the standardized fiber."""
     lam, x, y = Fraction(lam), Fraction(x), Fraction(y)
+    C = CubicPencil.fiber(lam)  # raises DegenerateFiber
     c = -(lam**3 + 1)
-    if c == 0:
-        raise DegenerateFiber("lam^3 + 1 = 0")
     if x + y == 0:
         raise LineAtInfinity("x + y = 0 maps to the zero section's 3-torsion packet")
     if x**3 + y**3 != c:
         raise NotOnTotalSpace(
             f"x^3 + y^3 != -(lam^3+1) at ({format_rational(x)}, {format_rational(y)})"
         )
-    X = 12 * c / (x + y)
-    Y = 36 * c * (x - y) / (x + y)
-    W = Point(X, Y)
-    return TotalSpacePoint(param=lam, witness=W)
+    W = Point(12 * c / (x + y), 36 * c * (x - y) / (x + y))
+    return TotalSpacePoint(param=lam, curve=C, witness=W)
 
 
 # Verified once by symbolic expansion (and re-verified per call in tests):

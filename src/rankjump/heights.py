@@ -72,13 +72,6 @@ def _estimate(iv: Interval) -> HeightEstimate:
     return HeightEstimate(value=iv.mid, error_bound=iv.half_width)
 
 
-def naive_height(P: Point) -> Decimal:
-    """log max(|u|, v) for x(P) = u/v reduced; 0 at infinity."""
-    if P.is_infinity:
-        return Decimal(0)
-    return ln_int_interval(max(abs(P.x.numerator), P.x.denominator)).mid
-
-
 def u7_cofactors(A: int, B: int) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
     """Cubic cofactors (f2, g2) of the u^7 identity, ascending in v-degree."""
     D = 4 * A**3 + 27 * B**2

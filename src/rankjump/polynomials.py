@@ -225,10 +225,6 @@ def ratfunc(num, den=(Fraction(1),)) -> RatFunc:
     return RatFunc(n, d)
 
 
-def ratfunc_eval(f: RatFunc, q: Fraction) -> Fraction:
-    return f.eval(q)
-
-
 def ratfunc_to_json(f: RatFunc) -> dict:
     return {"num": format_poly(f.num), "den": format_poly(f.den)}
 

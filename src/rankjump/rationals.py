@@ -46,10 +46,6 @@ def iter_rationals(max_height: int) -> Iterator[Fraction]:
         yield from block
 
 
-def enumerate_rationals(max_height: int) -> list[Fraction]:
-    return list(iter_rationals(max_height))
-
-
 def is_rational_square(q: Fraction) -> Optional[Fraction]:
     """The nonnegative square root of q when q is a rational square, else None.
 

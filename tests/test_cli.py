@@ -241,3 +241,12 @@ def test_bad_tol_exits_2(capsys, argv, tol):
         main(argv + ["--tol", tol])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+# Large values are not tried: each would start that many worker processes.
+@pytest.mark.parametrize("jobs", ["0", "-1", "abc"])
+def test_bad_jobs_exits_2(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--family", "f.json", "--bound", "2", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

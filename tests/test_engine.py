@@ -22,7 +22,6 @@ from rankjump.families import (
     WeierstrassPencil,
     cubic_witness,
     fiber_at,
-    specialize_sections,
     twist_witness,
     witness_stream,
 )
@@ -80,7 +79,7 @@ def test_certify_fiber_with_sections():
 
 def test_certify_fiber_rejects_off_fiber_witness():
     # The fiber at lam = 2 is y^2 = x^3 + x - 6; (1, 1) is not on it.
-    w = TotalSpacePoint(param=Fraction(2), witness=point(1, 1))
+    w = TotalSpacePoint(param=Fraction(2), curve=fiber_at(PENCIL, 2), witness=point(1, 1))
     with pytest.raises(PointNotOnCurve):
         certify_fiber(PENCIL, w)
 
@@ -88,15 +87,15 @@ def test_certify_fiber_rejects_off_fiber_witness():
 def test_no_false_jump_on_dependent_witness():
     # witness equal to a double of the section can never certify rank 2
     lam = Fraction(2)
-    fib = fiber_at(PENCIL, lam)
+    C = fiber_at(PENCIL, lam)
     section = point(2, 2)
-    wpt = mul(fib.curve, 2, section)
-    w = TotalSpacePoint(param=lam, witness=wpt)
+    wpt = mul(C, 2, section)
+    w = TotalSpacePoint(param=lam, curve=C, witness=wpt)
     cert = certify_fiber(PENCIL, w)
     assert cert.certified_rank_lb <= 1
     from rankjump.curves import small_relation_search
 
-    rel = small_relation_search(fib.curve, [section, wpt], 4)
+    rel = small_relation_search(C, [section, wpt], 4)
     assert rel is not None  # honest dependence confirmed exactly
 
 
@@ -119,6 +118,12 @@ def test_scan_cubic_bound1():
 def test_scan_bound_zero_rejected():
     with pytest.raises(ValueError):
         scan(CubicPencil(), 0, "total-first")
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_scan_jobs_below_one_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        scan(CubicPencil(), 1, "total-first", jobs=jobs)
 
 
 def test_scan_deterministic_and_jobs_equal():
@@ -156,7 +161,7 @@ def test_scan_twist_poly_and_cubic_fiber_first():
     assert rep.certified >= 1
     pts, _ = witness_stream(CubicPencil(), 2, "fiber-first")
     for w in pts[:5]:
-        assert on_curve(fiber_at(CubicPencil(), w.param).curve, w.witness)
+        assert on_curve(fiber_at(CubicPencil(), w.param), w.witness)
 
 
 def test_neron_check_smoke():
@@ -243,14 +248,14 @@ def test_gram_single_pass_matches_two_pass():
     cases = []
     pts, _ = witness_stream(PENCIL, 3, "fiber-first")
     for w in pts:
-        C = fiber_at(PENCIL, w.param).curve
+        C = w.curve
         if is_torsion(C, w.witness):
             continue
-        sections = [P for P in specialize_sections(PENCIL, w.param) if not is_torsion(C, P)]
+        sections = [P for P in PENCIL.sections_at(w.param, C) if not is_torsion(C, P)]
         cases.append((C, [w.witness]))
         if all(P != w.witness for P in sections):
             cases.append((C, sections + [w.witness]))
-    C = fiber_at(PENCIL, Fraction(2)).curve
+    C = fiber_at(PENCIL, Fraction(2))
     P = point(2, 2)
     cases += [(C, [P, mul(C, 2, P)]), (C, [P, mul(C, -1, P)]), (C, [P, mul(C, 3, P), point(2, -2)])]
     retried = retried_certified = 0

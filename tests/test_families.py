@@ -1,7 +1,9 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from rankjump import families
 from rankjump.curves import on_curve, point
 from rankjump.errors import (
     DegenerateFiber,
@@ -20,14 +22,14 @@ from rankjump.families import (
     declared_generic_rank,
     euler_parametrize,
     family_from_json,
+    family_id,
     family_to_json,
     fiber_at,
-    specialize_sections,
     twist_witness,
     validate_family,
     witness_stream,
 )
-from rankjump.polynomials import poly, ratfunc
+from rankjump.polynomials import depress_cubic, poly, ratfunc
 
 X3_MINUS_X = poly([0, -1, 0, 1])
 X3_PLUS_1 = poly([1, 0, 0, 1])
@@ -37,6 +39,14 @@ PENCIL = WeierstrassPencil(
     B=ratfunc([0, -1, 1, -1]),  # lam^2 - lam^3 - lam
     sections=((ratfunc([0, 1]), ratfunc([0, 1])),),
 )
+
+ONE_OF_EACH_KIND = [
+    TwistLinear(p=X3_MINUS_X),
+    TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1),
+    TwistPoly(d=poly([1, 0, 1]), p=X3_MINUS_X),
+    CubicPencil(),
+    PENCIL,
+]
 
 
 def _errors(findings):
@@ -65,12 +75,12 @@ def test_validate_rejections():
 
 
 def test_fiber_examples():
-    fib = fiber_at(TwistLinear(p=X3_MINUS_X), Fraction(6))
-    assert (fib.curve.A, fib.curve.B) == (-36, 0)
-    fib = fiber_at(TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1), Fraction(1))
-    assert (fib.curve.A, fib.curve.B) == (0, 8)
-    fib = fiber_at(CubicPencil(), Fraction(-5, 6))
-    assert (fib.curve.A, fib.curve.B) == (0, Fraction(-8281, 108))
+    C = fiber_at(TwistLinear(p=X3_MINUS_X), Fraction(6))
+    assert (C.A, C.B) == (-36, 0)
+    C = fiber_at(TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1), Fraction(1))
+    assert (C.A, C.B) == (0, 8)
+    C = fiber_at(CubicPencil(), Fraction(-5, 6))
+    assert (C.A, C.B) == (0, Fraction(-8281, 108))
     with pytest.raises(DegenerateFiber):
         fiber_at(TwistLinear(p=X3_MINUS_X), Fraction(0))
     with pytest.raises(DegenerateFiber):
@@ -98,7 +108,7 @@ def test_twist_witness_depression_shift():
     x0, y0 = Fraction(1), Fraction(1)
     t0 = Fraction(6)  # p(1) = 6
     w = twist_witness(f, t0, x0, y0)
-    assert on_curve(fiber_at(f, t0).curve, w.witness)
+    assert on_curve(fiber_at(f, t0), w.witness)
     assert w.witness.x == t0 * (x0 + 1)  # shift = a2/3 = 1
 
 
@@ -106,7 +116,7 @@ def test_cubic_witness_examples():
     w = cubic_witness(Fraction(-5, 6), Fraction(-1, 2), Fraction(-2, 3))
     assert w.witness == point(Fraction(13, 3), Fraction(13, 6))
     w = cubic_witness(Fraction(3, 4), Fraction(5, 4), Fraction(-3, 2))
-    assert on_curve(fiber_at(CubicPencil(), Fraction(3, 4)).curve, w.witness)
+    assert on_curve(fiber_at(CubicPencil(), Fraction(3, 4)), w.witness)
     with pytest.raises(LineAtInfinity):
         cubic_witness(Fraction(2), Fraction(3), Fraction(-3))
     with pytest.raises(NotOnTotalSpace):
@@ -133,11 +143,13 @@ def test_euler_hits_total_space():
 
 
 def test_specialize_sections():
-    pts = specialize_sections(PENCIL, Fraction(2))
-    assert pts == [point(2, 2)]
-    assert fiber_at(PENCIL, Fraction(2)).curve.B == -6
-    pts = specialize_sections(PENCIL, Fraction(0))
-    assert pts == [point(0, 0)]
+    C = fiber_at(PENCIL, Fraction(2))
+    assert C.B == -6
+    assert PENCIL.sections_at(Fraction(2), C) == [point(2, 2)]
+    assert PENCIL.sections_at(Fraction(0), fiber_at(PENCIL, Fraction(0))) == [point(0, 0)]
+    # a section checked against another parameter's fiber is rejected
+    with pytest.raises(NotOnTotalSpace):
+        PENCIL.sections_at(Fraction(2), fiber_at(PENCIL, Fraction(3)))
     # section with a pole at lam = 0 on a fiber that is otherwise fine:
     # Y^2 = X^3 + lam^2 X - 1 with section (1/lam^2, 1/lam^3)
     pole_pencil = WeierstrassPencil(
@@ -147,16 +159,16 @@ def test_specialize_sections():
     )
     assert not _errors(validate_family(pole_pencil))
     with pytest.raises(PoleAtPoint):
-        specialize_sections(pole_pencil, Fraction(0))
+        pole_pencil.sections_at(Fraction(0), fiber_at(pole_pencil, Fraction(0)))
 
 
 def test_specialize_two_path_check():
     # evaluating the section then plugging into the fiber equation agrees
     # with the identity checked by validate_family
     for lam in (Fraction(2), Fraction(-1, 3), Fraction(5, 4)):
-        fib = fiber_at(PENCIL, lam)
-        (P,) = specialize_sections(PENCIL, lam)
-        assert P.y**2 == P.x**3 + fib.curve.A * P.x + fib.curve.B
+        C = fiber_at(PENCIL, lam)
+        (P,) = PENCIL.sections_at(lam, C)
+        assert P.y**2 == P.x**3 + C.A * P.x + C.B
 
 
 def test_witness_stream_twist_linear_total_first():
@@ -165,7 +177,7 @@ def test_witness_stream_twist_linear_total_first():
     assert hits == [(Fraction(6), "12,36")]
     assert stats.emitted == len(pts)
     for w in pts:
-        assert on_curve(fiber_at(TwistLinear(p=X3_MINUS_X), w.param).curve, w.witness)
+        assert on_curve(fiber_at(TwistLinear(p=X3_MINUS_X), w.param), w.witness)
 
 
 def test_witness_stream_twist_quadratic_fiber_first():
@@ -191,7 +203,43 @@ def test_witness_stream_emits_verified_points_only():
         pts, _ = witness_stream(TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1), 3, mode)
         f = TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1)
         for w in pts:
-            assert on_curve(fiber_at(f, w.param).curve, w.witness)
+            assert on_curve(fiber_at(f, w.param), w.witness)
+
+
+@pytest.mark.parametrize("mode", ["total-first", "fiber-first"])
+@pytest.mark.parametrize("f", ONE_OF_EACH_KIND, ids=lambda f: f.kind)
+def test_candidates_carry_their_fiber(f, mode):
+    pts, _ = witness_stream(f, 3, mode)
+    # No cubic-pencil fiber Y^2 = X^3 - 432c^2 has a point with X of height <= 3.
+    assert pts or (f.kind, mode) == ("cubic_pencil", "fiber-first")
+    for w in pts:
+        assert w.curve == fiber_at(f, w.param)
+        assert on_curve(w.curve, w.witness)
+
+
+def test_twist_constants_computed_once(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return depress_cubic(p)
+
+    monkeypatch.setattr(families, "depress_cubic", counting)
+    f = TwistLinear(p=poly([0, 2, 3, 1]))
+    pts, _ = witness_stream(f, 3, "total-first")
+    witness_stream(f, 3, "fiber-first")
+    assert pts and len(calls) == 1
+
+
+def test_cached_constants_leave_identity_alone():
+    f = TwistQuadratic(c=Fraction(2), a=Fraction(-1), p=X3_PLUS_1)
+    fid, js, h = family_id(f), family_to_json(f), hash(f)
+    f.fiber(Fraction(1))  # fills the cached d(t) and depressed cubic
+    assert f.d == poly([2, 0, 2])
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and hash(g) == hash(f) == h
+    assert family_to_json(f) == js and family_to_json(g) == js
+    assert family_id(f) == family_id(g) == fid
 
 
 def test_declared_generic_rank_defaults():
@@ -204,14 +252,7 @@ def test_declared_generic_rank_defaults():
 
 
 def test_family_json_roundtrip():
-    fams = [
-        TwistLinear(p=X3_MINUS_X),
-        TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1),
-        TwistPoly(d=poly([1, 0, 1]), p=X3_MINUS_X),
-        CubicPencil(),
-        PENCIL,
-    ]
-    for f in fams:
+    for f in ONE_OF_EACH_KIND:
         assert family_from_json(family_to_json(f)) == f
 
 

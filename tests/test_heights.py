@@ -15,7 +15,6 @@ from rankjump.heights import (
     gram_certify,
     height_interval,
     height_pairing,
-    naive_height,
     u7_cofactors,
     v7_cofactors,
 )
@@ -65,13 +64,6 @@ def test_xchain_matches_oracle_doubling():
         chain.step()
         P = oracle_add(C.A, C.B, P, P)
         assert Fraction(chain.u, chain.v) == P[0]
-
-
-def test_naive_height_examples():
-    assert naive_height(point(0, 4)) == 0
-    assert naive_height(INFINITY) == 0
-    h = naive_height(point(Fraction(129, 100), Fraction(-383, 1000)))
-    assert abs(float(h) - 4.859812404361672) < 1e-12  # log 129
 
 
 def test_canonical_height_benchmark():

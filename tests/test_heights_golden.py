@@ -22,7 +22,7 @@ from rankjump.polynomials import poly
 BENCH, BENCH_P = curve(-16, 16), point(0, 4)
 CONGRUENT = curve(-36, 0)
 CP, CQ = point(-3, 9), point(12, 36)
-TWIST = fiber_at(TwistLinear(p=poly([0, -1, 0, 1]), generic_rank=0), Fraction(-3, 2)).curve
+TWIST = fiber_at(TwistLinear(p=poly([0, -1, 0, 1]), generic_rank=0), Fraction(-3, 2))
 TP = Point(Fraction(3), Fraction(9, 2))
 TQ = Point(Fraction(-3, 4), Fraction(9, 8))
 

@@ -18,7 +18,6 @@ from rankjump.polynomials import (
     poly_gcd,
     poly_mul,
     ratfunc,
-    ratfunc_eval,
     ratfunc_from_json,
     ratfunc_to_json,
 )
@@ -31,8 +30,8 @@ def test_eval_examples():
     assert poly_eval(X3_MINUS_X, Fraction(0)) == 0
     f = ratfunc([1, 0, 1], [0, 1])  # (t^2+1)/t
     with pytest.raises(PoleAtPoint):
-        ratfunc_eval(f, Fraction(0))
-    assert ratfunc_eval(f, Fraction(2)) == Fraction(5, 2)
+        f.eval(Fraction(0))
+    assert f.eval(Fraction(2)) == Fraction(5, 2)
 
 
 def test_discriminant_examples():

@@ -5,13 +5,17 @@ from hypothesis import given, strategies as st
 
 from oracles import brute_force_rational_count
 from rankjump.rationals import (
-    enumerate_rationals,
     format_rational,
     int_pair_is_square,
     is_rational_square,
+    iter_rationals,
     parse_rational,
     rat_height,
 )
+
+
+def _rationals(max_height):
+    return list(iter_rationals(max_height))
 
 
 def test_rat_height_examples():
@@ -22,8 +26,8 @@ def test_rat_height_examples():
 
 
 def test_enumerate_small():
-    assert enumerate_rationals(1) == [Fraction(-1), Fraction(0), Fraction(1)]
-    two = enumerate_rationals(2)
+    assert _rationals(1) == [Fraction(-1), Fraction(0), Fraction(1)]
+    two = _rationals(2)
     assert two == [
         Fraction(-1),
         Fraction(0),
@@ -33,16 +37,16 @@ def test_enumerate_small():
         Fraction(1, 2),
         Fraction(2),
     ]
-    assert len(enumerate_rationals(3)) == 15
+    assert len(_rationals(3)) == 15
 
 
 def test_enumerate_bad_bound():
     with pytest.raises(ValueError):
-        enumerate_rationals(0)
+        _rationals(0)
 
 
 def test_enumerate_unique_sorted_by_height():
-    seq = enumerate_rationals(12)
+    seq = _rationals(12)
     assert len(seq) == len(set(seq))
     heights = [rat_height(q) for q in seq]
     assert heights == sorted(heights)
@@ -54,7 +58,7 @@ def test_enumerate_unique_sorted_by_height():
 def test_enumerate_cardinality_vs_brute_force_all_bounds():
     # Cross-check against an independent double loop for all H <= 50.
     for H in range(1, 51):
-        assert len(enumerate_rationals(H)) == brute_force_rational_count(H)
+        assert len(_rationals(H)) == brute_force_rational_count(H)
 
 
 def test_square_detection():
