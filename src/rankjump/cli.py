@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 from pathlib import Path
 
 from .curves import Curve, on_curve, parse_point
@@ -45,6 +46,17 @@ def _tol(text: str) -> Decimal:
     if tol is None or not tol.is_finite() or tol <= 0:
         raise argparse.ArgumentTypeError(f"must be a finite decimal > 0, got {text!r}")
     return tol
+
+
+def _curve(text: str) -> tuple[Fraction, Fraction]:
+    """--curve: two rationals "A,B"."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"must be two rationals A,B, got {text!r}")
+    try:
+        return parse_rational(parts[0]), parse_rational(parts[1])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _jobs(text: str) -> int:
@@ -103,8 +115,6 @@ def cmd_scan(args) -> int:
         return 2
     t0 = time.monotonic()
     report = scan(fam, args.bound, args.mode, args.tol, jobs=args.jobs)
-    params = report.certified_params()
-    dens = density_report(fam, params)
     if args.format == "json":
         _emit(_json_bytes(report.to_json()), args.out)
     else:
@@ -115,6 +125,7 @@ def cmd_scan(args) -> int:
             w.writerow(cert.csv_row())
         _emit(buf.getvalue().encode("ascii"), args.out)
     if args.out is not None:
+        dens = density_report(fam, report.certified_params())
         Path(args.out + ".density.json").write_bytes(_json_bytes(dens.to_json()))
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -147,8 +158,7 @@ def cmd_neron(args) -> int:
 
 
 def cmd_height(args) -> int:
-    a_str, b_str = args.curve.split(",")
-    C = Curve(parse_rational(a_str), parse_rational(b_str))
+    C = Curve(*args.curve)
     P = parse_point(args.point)
     if not on_curve(C, P):
         print("error: point is not on the curve", file=sys.stderr)
@@ -194,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.set_defaults(fn=cmd_neron)
 
     h = sub.add_parser("height", help="canonical height of one point")
-    h.add_argument("--curve", required=True, help="A,B as rationals")
+    h.add_argument("--curve", required=True, type=_curve, help="A,B as rationals")
     h.add_argument("--point", required=True, help='"x,y" or "inf"')
     h.add_argument("--tol", type=_tol, default="1e-6")
     h.set_defaults(fn=cmd_height)

@@ -4,15 +4,17 @@ Exact chord-tangent group law, integral models, reduction mod p, the
 torsion screen, and an exhaustive small-relation search used for negative
 controls.
 
-The torsion screen rests on Silverman, AEC VII.3: at an odd prime p of
-good reduction, reduction E(Q) -> E(F_p) is injective on torsion and its
-kernel E_1(Q_p) is torsion-free. So a rational point keeps its order under
-reduction, and a point of order <= 12 (every rational torsion order, by
-Mazur) is found by walking its reduction and confirmed by one exact
-multiple. The screen starts at p = 1009: by Hasse |E(F_p)| >= 947 there, so
-a non-torsion point rarely reduces to an order <= 12 and needs the exact
-multiple, and the bad primes of the curves met in practice lie far below
-it, so the first candidate is nearly always good.
+Both torsion questions ("is P torsion?" in `torsion_order`, "is this sum
+torsion?" in `small_relation_search`) are decided by one rule, which rests
+on Silverman, AEC VII.3: at an odd prime p of good reduction, reduction
+E(Q) -> E(F_p) is injective on torsion and its kernel E_1(Q_p) is
+torsion-free. So a rational torsion point has the same order as its
+reduction, and every rational torsion order is <= 12 (Mazur). The rule:
+take n = `CurveFp.order` of the reduction; S is torsion exactly when
+n exists and the exact n S is O. The primes start at p = 1009: by Hasse
+|E(F_p)| >= 947 there, so a non-torsion point rarely reduces to an order
+<= 12 and needs the exact multiple, and the bad primes of the curves met
+in practice lie far below it, so the first candidate is nearly always good.
 
 Points are checked on the curve at the public boundary (`add`, `mul`,
 `torsion_order`, `reduce_mod_p`, `small_relation_search`); the internal
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .errors import BadReduction, PointNotOnCurve, SingularCurve
@@ -133,14 +136,6 @@ def add(C: Curve, P: Point, Q: Point) -> Point:
     return _add(C, P, Q)
 
 
-def sub(C: Curve, P: Point, Q: Point) -> Point:
-    return add(C, P, neg(Q))
-
-
-def double(C: Curve, P: Point) -> Point:
-    return add(C, P, P)
-
-
 def _mul(C: Curve, n: int, P: Point) -> Point:
     """n P by double-and-add, with no on-curve checks."""
     if n < 0:
@@ -197,22 +192,17 @@ def torsion_order(C: Curve, P: Point) -> Optional[int]:
     """Order of P when <= 12, else None.
 
     Decided at the first good prime p >= 1009 (AEC VII.3): reduction is
-    injective on torsion and E_1(Q_p) is torsion-free for odd p. If P
-    reduces to O it is non-torsion. Otherwise the first n <= 12 with
-    n P mod p = O is the only possible order, confirmed by one exact
-    n P = O; when no n <= 12 kills P mod p, P has no order <= 12.
+    injective on torsion, so the order n of P mod p is the only possible
+    order of P, confirmed by one exact n P = O. When no n <= 12 kills
+    P mod p, P has no order <= 12; when P != O reduces to O, n = 1 and
+    the exact check rejects it (E_1(Q_p) is torsion-free).
     """
     if P.is_infinity:
         return 1
-    cfp, R = reduce_mod_p(C, P, good_primes(C, 1, SCREEN_PRIME_START)[0])
-    if R is None:
-        return None
-    Q = R
-    for n in range(2, TORSION_ORDER_BOUND + 1):
-        Q = cfp.add(Q, R)
-        if Q is None:
-            return n if _mul(C, n, P).is_infinity else None
-    return None
+    _require(C, P)
+    cfp = _curve_mod(C, good_primes(C, 1, SCREEN_PRIME_START)[0])
+    n = cfp.order(cfp.reduce(P))
+    return n if n is not None and _mul(C, n, P).is_infinity else None
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +217,12 @@ class CurveFp:
     b: int
     p: int
 
-    def contains(self, P: Optional[tuple[int, int]]) -> bool:
-        if P is None:
-            return True
-        x, y = P
-        return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
+    def reduce(self, P: Point) -> Optional[tuple[int, int]]:
+        """P mod p; None for O and for P with p in its denominators."""
+        p = self.p
+        if P.is_infinity or P.x.denominator % p == 0:  # then p | den(y) too
+            return None
+        return (_mod(P.x, p), _mod(P.y, p))
 
     def add(self, P, Q):
         p = self.p
@@ -251,23 +242,16 @@ class CurveFp:
         y3 = (m * (x1 - x3) - y1) % p
         return (x3, y3)
 
-    def neg(self, P):
-        if P is None:
-            return None
-        return (P[0], (-P[1]) % self.p)
-
-    def mul(self, n: int, P):
-        if n < 0:
-            return self.neg(self.mul(-n, P))
-        R = None
-        Q = P
-        while n:
-            if n & 1:
-                R = self.add(R, Q)
-            n >>= 1
-            if n:
-                Q = self.add(Q, Q)
-        return R
+    def order(self, R) -> Optional[int]:
+        """The smallest n <= 12 with n R = O, else None."""
+        if R is None:
+            return 1
+        Q = R
+        for n in range(2, TORSION_ORDER_BOUND + 1):
+            Q = self.add(Q, R)
+            if Q is None:
+                return n
+        return None
 
 
 def _bad_part(C: Curve) -> int:
@@ -278,6 +262,11 @@ def _bad_part(C: Curve) -> int:
 
 def _mod(q: Fraction, p: int) -> int:
     return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def _curve_mod(C: Curve, p: int) -> CurveFp:
+    """C mod p, for p where C is p-integral."""
+    return CurveFp(_mod(C.A, p), _mod(C.B, p), p)
 
 
 def reduce_mod_p(C: Curve, P: Point, p: int) -> tuple[CurveFp, Optional[tuple[int, int]]]:
@@ -291,10 +280,8 @@ def reduce_mod_p(C: Curve, P: Point, p: int) -> tuple[CurveFp, Optional[tuple[in
     _require(C, P)
     if _bad_part(C) % p == 0:
         raise BadReduction(f"p={p} divides 2, a denominator of A or B, or the discriminant")
-    cfp = CurveFp(_mod(C.A, p), _mod(C.B, p), p)
-    if P.is_infinity or P.x.denominator % p == 0:  # then p | den(y) too
-        return cfp, None
-    return cfp, (_mod(P.x, p), _mod(P.y, p))
+    cfp = _curve_mod(C, p)
+    return cfp, cfp.reduce(P)
 
 
 def good_primes(C: Curve, count: int, start: int = 3) -> list[int]:
@@ -313,8 +300,6 @@ def good_primes(C: Curve, count: int, start: int = 3) -> list[int]:
 # ---------------------------------------------------------------------------
 # Exhaustive small-relation search
 
-_TORSION_LCM = 27720  # lcm(1..12); necessary condition filter mod p
-
 
 def small_relation_search(
     C: Curve, points: Sequence[Point], bound_n: int
@@ -322,9 +307,11 @@ def small_relation_search(
     """Integer coefficients (n_1..n_k), |n_i| <= bound_n, not all zero, with
     sum n_i P_i torsion — or None when no such relation exists in the box.
 
-    Exhaustive and exact; candidate combinations are prefiltered at two
-    good primes >= 1009 before the exact verification: a torsion sum has
-    order <= 12 mod p, so the filter never drops a relation.
+    Exhaustive and exact, by the module's torsion rule: a torsion sum S has
+    its exact order n <= 12 mod every good odd prime, so a combination goes
+    on only if S has one order n <= 12 at both of two good primes >= 1009,
+    and counts only if the exact n S = O. The first relation in
+    `itertools.product` order is returned.
     """
     if bound_n > 16:
         raise ValueError("bound_n must be <= 16")
@@ -334,7 +321,7 @@ def small_relation_search(
         _require(C, P)
     k = len(points)
 
-    # Exact multiple tables m[i][n] for n in -bound..bound.
+    # Exact multiple tables m[i][n] for n in -bound..bound, and their reductions.
     tables: list[dict[int, Point]] = []
     for P in points:
         tab = {0: INFINITY, 1: P}
@@ -343,41 +330,32 @@ def small_relation_search(
         for n in range(1, bound_n + 1):
             tab[-n] = neg(tab[n])
         tables.append(tab)
+    reduced = []
+    for p in good_primes(C, 2, SCREEN_PRIME_START):
+        cfp = _curve_mod(C, p)
+        reduced.append((cfp, [{n: cfp.reduce(Q) for n, Q in tab.items()} for tab in tables]))
 
-    primes = good_primes(C, 2, SCREEN_PRIME_START)
-    fp_tables = []
-    for p in primes:
-        cfp = None
-        tabs = []
-        for i, P in enumerate(points):
-            cfp, red = reduce_mod_p(C, P, p)
-            tab = {0: None, 1: red}
-            for n in range(2, bound_n + 1):
-                tab[n] = cfp.add(tab[n - 1], red)
-            for n in range(1, bound_n + 1):
-                tab[-n] = cfp.neg(tab[n])
-            tabs.append(tab)
-        fp_tables.append((cfp, tabs))
-
-    def survives_mod_p(combo: tuple[int, ...]) -> bool:
-        for cfp, tabs in fp_tables:
+    def common_order(combo: tuple[int, ...]) -> Optional[int]:
+        n = None
+        for cfp, tabs in reduced:
             S = None
-            for i, n in enumerate(combo):
-                S = cfp.add(S, tabs[i][n])
-            if cfp.mul(_TORSION_LCM, S) is not None:
-                return False
-        return True
-
-    from itertools import product
+            for tab, m in zip(tabs, combo):
+                S = cfp.add(S, tab[m])
+            order = cfp.order(S)
+            if order is None or n not in (None, order):
+                return None
+            n = order
+        return n
 
     for combo in product(range(-bound_n, bound_n + 1), repeat=k):
-        if all(n == 0 for n in combo):
+        if not any(combo):
             continue
-        if not survives_mod_p(combo):
+        n = common_order(combo)
+        if n is None:
             continue
         S = INFINITY
-        for i, n in enumerate(combo):
-            S = _add(C, S, tables[i][n])
-        if S.is_infinity or is_torsion(C, S):
+        for tab, m in zip(tables, combo):
+            S = _add(C, S, tab[m])
+        if _mul(C, n, S).is_infinity:
             return combo
     return None

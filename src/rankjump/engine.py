@@ -19,7 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
-from .curves import Curve, Point, is_torsion, on_curve
+from .curves import Curve, Point, is_torsion, on_curve, small_relation_search
 from .errors import (
     DegenerateFiber,
     InvalidCertificate,
@@ -45,7 +45,6 @@ from .families import (
 from .heights import GramCertificate, HeightEstimate, _as_decimal, gram_certify
 from .polynomials import Poly, depress_cubic, is_separable_cubic, poly_eval
 from .rationals import format_rational, is_rational_square, iter_rationals, rat_height
-from .curves import small_relation_search
 
 DEFAULT_SCAN_TOL = Decimal("1e-4")
 
@@ -291,6 +290,8 @@ class NeronCheckReport:
 def neron_check(f: WeierstrassPencil, bound: int, tol=DEFAULT_SCAN_TOL) -> NeronCheckReport:
     if not isinstance(f, WeierstrassPencil) or not f.sections:
         raise ValueError("neron_check needs a Weierstrass pencil with >= 1 section")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     tol_d = _as_decimal(tol)
     certified = 0
     inconclusive: list[Fraction] = []
@@ -407,6 +408,8 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
         raise ValueError("r must be >= 1")
     if not is_separable_cubic(p):
         raise ValueError("p must be a separable monic cubic")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     A, B, shift = depress_cubic(p)
     base = Curve(A, B)
     classes: list[SquareClass] = []

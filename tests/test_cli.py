@@ -75,11 +75,6 @@ def test_scan_json_format(tmp_path):
     assert "-5/6" in params and "3/4" in params
 
 
-def test_scan_bad_bound(tmp_path):
-    fam = _write(tmp_path, "f.json", CUBIC)
-    assert main(["scan", "--family", fam, "--bound", "0"]) == 2
-
-
 def test_billing_roundtrip(tmp_path):
     out = str(tmp_path / "bill.json")
     rc = main(["billing", "--p", "0,-1,0,1", "--rank", "3", "--bound", "10", "--out", out])
@@ -250,3 +245,22 @@ def test_bad_jobs_exits_2(capsys, jobs):
         main(["scan", "--family", "f.json", "--bound", "2", "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("curve", ["1", "1,2,3", "a,b"])
+def test_bad_curve_exits_2(capsys, curve):
+    with pytest.raises(SystemExit) as exc:
+        main(["height", "--curve", curve, "--point", "2,3"])
+    assert exc.value.code == 2
+    assert "--curve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("command", ["scan", "neron", "billing"])
+def test_bad_bound_exits_2(tmp_path, capsys, command, bound):
+    if command == "billing":
+        argv = ["billing", "--p", "0,-1,0,1", "--rank", "1"]
+    else:
+        argv = [command, "--family", _write(tmp_path, "p.json", PENCIL)]
+    assert main(argv + ["--bound", bound]) == 2
+    assert "bound must be >= 1" in capsys.readouterr().err

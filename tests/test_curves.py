@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,9 +8,9 @@ from oracles import oracle_add, oracle_mul
 from rankjump.curves import (
     Curve,
     INFINITY,
+    CurveFp,
     add,
     curve,
-    double,
     good_primes,
     integral_model,
     is_torsion,
@@ -21,7 +22,6 @@ from rankjump.curves import (
     point_to_integral,
     reduce_mod_p,
     small_relation_search,
-    sub,
     torsion_order,
 )
 from rankjump.errors import BadReduction, PointNotOnCurve, SingularCurve
@@ -42,10 +42,10 @@ def test_add_examples():
     assert R == point(Fraction(-144, 25), Fraction(-504, 125))
     assert on_curve(C, R)
     C2 = curve(0, -2)
-    assert double(C2, point(3, 5)) == point(Fraction(129, 100), Fraction(-383, 1000))
+    assert add(C2, point(3, 5), point(3, 5)) == point(Fraction(129, 100), Fraction(-383, 1000))
     assert add(C, P, INFINITY) == P
     assert add(C, P, neg(P)) == INFINITY
-    assert sub(C, P, P) == INFINITY
+    assert add(C, R, neg(Q)) == P
 
 
 def test_add_rejects_off_curve():
@@ -91,6 +91,14 @@ def test_torsion_examples():
     assert torsion_order(curve(-36, 0), point(0, 0)) == 2
 
 
+def _on_fp(cfp, R):
+    """R is O or satisfies y^2 = x^3 + ax + b mod p."""
+    if R is None:
+        return True
+    x, y = R
+    return (y * y - (x**3 + cfp.a * x + cfp.b)) % cfp.p == 0
+
+
 def test_reduce_mod_p():
     C = curve(0, -2)
     cfp, R = reduce_mod_p(C, point(3, 5), 5)
@@ -107,7 +115,7 @@ def test_reduction_sends_p_denominator_to_infinity():
     cfp, R = reduce_mod_p(C, P, 5)
     assert R is None
     cfp, R = reduce_mod_p(C, P, 7)
-    assert R is not None and cfp.contains(R)
+    assert R is not None and _on_fp(cfp, R)
 
 
 def _random_two_point_curve(rng):
@@ -285,7 +293,7 @@ def test_torsion_screen_random_non_torsion():
             # Count the points whose reduction has order <= 12 anyway, so
             # the exact confirmation rejects them.
             cfp, Rb = reduce_mod_p(C, R, good_primes(C, 1, 1009)[0])
-            confirmed += Rb is not None and any(cfp.mul(n, Rb) is None for n in range(2, 13))
+            confirmed += Rb is not None and cfp.order(Rb) is not None
     assert confirmed > 0
 
 
@@ -304,7 +312,7 @@ def test_reduce_mod_p_non_integral_curve():
             for T in pts:
                 cfp, Sb = reduce_mod_p(C, S, p)
                 _, Tb = reduce_mod_p(C, T, p)
-                assert cfp.contains(Sb)
+                assert _on_fp(cfp, Sb)
                 assert cfp.add(Sb, Tb) == reduce_mod_p(C, add(C, S, T), p)[1]
 
 
@@ -315,3 +323,99 @@ def test_small_relation_search_meeting_fiber():
     P, Q = point(0, 1), point(Fraction(1, 2), Fraction(3, 2))
     assert small_relation_search(C, [P, Q], 12) == (-6, -12)
     assert add(C, mul(C, -6, P), mul(C, -12, Q)) == INFINITY
+
+
+# ---------------------------------------------------------------------------
+# The one torsion rule: CurveFp.order, then one exact multiple
+
+
+def test_curve_fp_order_matches_repeated_add():
+    rng = random.Random(11)
+    for _ in range(6):
+        C = _random_two_point_curve(rng)[0]
+        for p in good_primes(C, 3, 5):
+            cfp = reduce_mod_p(C, INFINITY, p)[0]
+            pts = [None] + [(x, y) for x in range(p) for y in range(p) if _on_fp(cfp, (x, y))]
+            for R in pts:
+                walk, want = R, None
+                for n in range(1, 13):
+                    if walk is None:
+                        want = n
+                        break
+                    walk = cfp.add(walk, R)
+                assert cfp.order(R) == want, (cfp, R)
+                assert want is None or len(pts) % want == 0  # Lagrange
+    cfp = CurveFp(0, 1, 1009)  # y^2 = x^3 + 1 has (2, 3) of order 6
+    assert [cfp.order(R) for R in (None, (2, 3), (0, 1), (1009 - 1, 0))] == [1, 6, 3, 2]
+
+
+def _oracle_relation(C, points, bound):
+    """The first combination in product order whose exact sum S has n S = O
+    for some n <= 12, summed and stepped with oracle_add alone."""
+    pts = [None if P.is_infinity else (P.x, P.y) for P in points]
+    for combo in product(range(-bound, bound + 1), repeat=len(pts)):
+        if not any(combo):
+            continue
+        S = None
+        for n, P in zip(combo, pts):
+            S = oracle_add(C.A, C.B, S, oracle_mul(C.A, C.B, n, P))
+        R = S
+        for _ in range(12):
+            if R is None:
+                return combo, S is None
+            R = oracle_add(C.A, C.B, R, S)
+    return None, None
+
+
+def _two_torsion_curve(rng):
+    """A curve with the 2-torsion point T = (e, 0) through P = (x1, y1)."""
+    while True:
+        e, x1, y1 = Fraction(rng.randint(-6, 6)), Fraction(rng.randint(-6, 6)), Fraction(rng.randint(1, 9))
+        if x1 == e:
+            continue
+        A = (y1**2 - x1**3 + e**3) / (x1 - e)
+        B = -(e**3) - A * e
+        if 4 * A**3 + 27 * B**2 == 0:
+            continue
+        return Curve(A, B), point(e, 0), point(x1, y1)
+
+
+def _relation_cases(rng, rounds):
+    for _ in range(rounds):
+        u = rng.choice((Fraction(1), Fraction(1), Fraction(2, 3)))
+        C, P, Q = _random_two_point_curve(rng)
+        yield _rescale(C, P, u)[0], [_rescale(C, R, u)[1] for R in (P, Q, add(C, P, Q))]
+        yield C, [P]
+        yield C, [P, neg(P)]
+        yield C, [P, Q]
+        C, T, P = _two_torsion_curve(rng)
+        yield C, [T]
+        yield C, [P, add(C, P, T)]
+        yield C, [T, P]
+    for C, P in _torsion_points()[::7]:
+        yield C, [P]
+        yield C, [P, mul(C, 2, P), INFINITY]
+
+
+def test_small_relation_search_matches_brute_force():
+    rng = random.Random(8)
+    seen = {"none": 0, "sum O": 0, "sum torsion": 0}
+    for C, pts in _relation_cases(rng, 12):
+        bound = 3 if len(pts) < 3 else 1
+        want, sum_is_o = _oracle_relation(C, pts, bound)
+        assert small_relation_search(C, pts, bound) == want, (C, pts)
+        seen["none" if want is None else "sum O" if sum_is_o else "sum torsion"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize(
+    "pts, want",
+    [
+        ([(-9, 3), (-8, 12), (-1, 9)], None),
+        ([(-9, 3), (-1, 9), (82, 738)], (0, -12, 12)),
+    ],
+)
+def test_small_relation_search_three_points_bound_12(pts, want):
+    # y^2 = x^3 - 82x has rank 3; (0, 0) is 2-torsion, and (82, 738) is
+    # (-1, 9) plus a 2-torsion point, so 12 ((82, 738) - (-1, 9)) = O.
+    assert small_relation_search(curve(-82, 0), [point(*P) for P in pts], 12) == want

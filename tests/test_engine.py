@@ -159,9 +159,13 @@ def test_scan_twist_poly_and_cubic_fiber_first():
     assert [(w.param, w.witness) for w in a] == [(w.param, w.witness) for w in b]
     rep = scan(f, 3, "fiber-first")
     assert rep.certified >= 1
-    pts, _ = witness_stream(CubicPencil(), 2, "fiber-first")
-    for w in pts[:5]:
-        assert on_curve(fiber_at(CubicPencil(), w.param), w.witness)
+    # The cubic pencil's fiber-first walk emits nothing below bound 7; at 7
+    # it emits lam = -1/2 with witness (7, 7/2).
+    pts, _ = witness_stream(CubicPencil(), 7, "fiber-first")
+    assert pts
+    for w in pts:
+        assert w.curve == fiber_at(CubicPencil(), w.param)
+        assert on_curve(w.curve, w.witness)
 
 
 def test_neron_check_smoke():
