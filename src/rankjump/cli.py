@@ -14,7 +14,7 @@ import io
 import json
 import sys
 import time
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .engine import (
 )
 from .errors import RankJumpError, SearchExhausted
 from .families import family_from_json, validate_family
-from .heights import canonical_height
+from .heights import canonical_height, tolerance
 from .polynomials import parse_poly
 from .rationals import parse_rational
 
@@ -37,15 +37,18 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
+def _csv_bytes(rows) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("ascii")
+
+
 def _tol(text: str) -> Decimal:
     """--tol: a finite decimal > 0."""
     try:
-        tol = Decimal(text)
-    except InvalidOperation:
-        tol = None
-    if tol is None or not tol.is_finite() or tol <= 0:
-        raise argparse.ArgumentTypeError(f"must be a finite decimal > 0, got {text!r}")
-    return tol
+        return tolerance(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"must be a finite decimal > 0, got {text!r}") from exc
 
 
 def _curve(text: str) -> tuple[Fraction, Fraction]:
@@ -118,21 +121,11 @@ def cmd_scan(args) -> int:
     if args.format == "json":
         _emit(_json_bytes(report.to_json()), args.out)
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for cert in report.certificates:
-            w.writerow(cert.csv_row())
-        _emit(buf.getvalue().encode("ascii"), args.out)
+        _emit(_csv_bytes([CSV_COLUMNS] + [c.csv_row() for c in report.certificates]), args.out)
     if args.out is not None:
         dens = density_report(fam, report.certified_params())
         Path(args.out + ".density.json").write_bytes(_json_bytes(dens.to_json()))
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["bin_lo", "bin_hi", "count"])
-        for row in dens.histogram.csv_rows():
-            w.writerow(row)
-        Path(args.out + ".histogram.csv").write_bytes(buf.getvalue().encode("ascii"))
+        Path(args.out + ".histogram.csv").write_bytes(_csv_bytes(dens.histogram.csv_rows()))
     print(
         f"certified {report.certified} of {report.candidates} candidates, "
         f"{report.distinct_params} distinct params"

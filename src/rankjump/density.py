@@ -3,7 +3,12 @@
 The underlying theorems are asymptotic density statements; a finite scan
 can only report coverage, so everything here is descriptive: equal-width
 real histograms, residue coverage mod p^k, and the sign-region report for
-degree-2 twists.  Binning is exact rational arithmetic end to end.
+degree-2 twists.
+
+One binning rule, in exact rational arithmetic: q lies in bin
+i = floor((q - lo) * bins / (hi - lo)) of [lo, hi) when lo <= q < hi.
+Only `real_histogram` applies it; the sign-region report reads its bin
+hits off the default-grid histogram.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import WrongFamilyKind
 from .families import Family, TwistQuadratic
 from .rationals import format_rational
 
@@ -40,18 +44,17 @@ class Histogram:
             "coverage": format_rational(self.coverage),
         }
 
+    def edges(self) -> list[Fraction]:
+        """lo + i * width for i = 0..bins."""
+        bins = len(self.counts)
+        width = (self.hi - self.lo) / bins
+        return [self.lo + i * width for i in range(bins + 1)]
+
     def csv_rows(self) -> list[list[str]]:
-        width = (self.hi - self.lo) / len(self.counts)
-        rows = []
-        for i, c in enumerate(self.counts):
-            rows.append(
-                [
-                    format_rational(self.lo + i * width),
-                    format_rational(self.lo + (i + 1) * width),
-                    str(c),
-                ]
-            )
-        return rows
+        """The .histogram.csv rows, header first."""
+        e = [format_rational(b) for b in self.edges()]
+        rows = [[e[i], e[i + 1], str(c)] for i, c in enumerate(self.counts)]
+        return [["bin_lo", "bin_hi", "count"]] + rows
 
 
 def real_histogram(
@@ -148,55 +151,39 @@ class ComponentReport:
         return {"regions": [r.to_json() for r in self.regions]}
 
 
-def component_report(f: Family, params: Sequence[Fraction]) -> ComponentReport:
+def component_report(f: Family, params: Sequence[Fraction]) -> Optional[ComponentReport]:
     """Partition the t-line by the sign of d(t) = c(t^2 - a) and report
-    which regions the certified parameters reach.
+    which regions the certified parameters reach; None for every family
+    kind but the quadratic twist.
 
     For a < 0 the twist coefficient never changes sign and there is a
     single region.  For a > 0 the rational boundary tests t^2 vs a are
-    exact even though the roots +-sqrt(a) are irrational.
+    exact even though the roots +-sqrt(a) are irrational.  A region's
+    inner bins are the default-grid bins with both edges inside it.  Each
+    region is an interval, so every param in an inner bin is a member, and
+    the bin is hit exactly when its histogram count is non-zero.
     """
     if not isinstance(f, TwistQuadratic):
-        raise WrongFamilyKind("component_report needs a quadratic twist family")
+        return None
+    a = f.a
     c_sign = 1 if f.c > 0 else -1
-
-    def in_region(q: Fraction, name: str) -> bool:
-        if name == "all t":
-            return True
-        if name == "t < -sqrt(a)":
-            return q < 0 and q * q > f.a
-        if name == "-sqrt(a) < t < sqrt(a)":
-            return q * q < f.a
-        return q > 0 and q * q > f.a  # "t > sqrt(a)"
-
-    if f.a < 0:
-        names = [("all t", c_sign)]
+    if a < 0:
+        regions = [("all t", c_sign, lambda q: True)]
     else:
-        names = [
-            ("t < -sqrt(a)", c_sign),
-            ("-sqrt(a) < t < sqrt(a)", -c_sign),
-            ("t > sqrt(a)", c_sign),
+        regions = [
+            ("t < -sqrt(a)", c_sign, lambda q: q < 0 and q * q > a),
+            ("-sqrt(a) < t < sqrt(a)", -c_sign, lambda q: q * q < a),
+            ("t > sqrt(a)", c_sign, lambda q: q > 0 and q * q > a),
         ]
-
-    lo, hi = DEFAULT_RANGE
-    width = (hi - lo) / DEFAULT_BINS
-    regions = []
-    for name, sign in names:
-        members = [q for q in params if in_region(q, name)]
-        # Bins of the default grid lying fully inside the region.
-        inner = []
-        for i in range(DEFAULT_BINS):
-            b0, b1 = lo + i * width, lo + (i + 1) * width
-            if in_region(b0, name) and in_region(b1, name):
-                inner.append((b0, b1))
-        cov: Optional[Fraction] = None
-        if inner:
-            hit_bins = sum(1 for b0, b1 in inner if any(b0 <= q < b1 for q in members))
-            cov = Fraction(hit_bins, len(inner))
-        regions.append(
-            Region(name=name, d_sign=sign, count=len(members), hit=bool(members), bin_coverage=cov)
-        )
-    return ComponentReport(regions=tuple(regions))
+    hist = real_histogram(params, DEFAULT_RANGE[0], DEFAULT_RANGE[1], DEFAULT_BINS)
+    e = hist.edges()
+    out = []
+    for name, sign, inside in regions:
+        count = sum(1 for q in params if inside(q))
+        inner = [n for i, n in enumerate(hist.counts) if inside(e[i]) and inside(e[i + 1])]
+        cov = Fraction(sum(1 for n in inner if n), len(inner)) if inner else None
+        out.append(Region(name=name, d_sign=sign, count=count, hit=count > 0, bin_coverage=cov))
+    return ComponentReport(regions=tuple(out))
 
 
 @dataclass(frozen=True)
@@ -223,13 +210,9 @@ def density_report(f: Family, params: Sequence[Fraction]) -> DensityReport:
         for p in DEFAULT_PRIMES
         for k in range(1, DEFAULT_PADIC_DEPTH + 1)
     )
-    try:
-        comp = component_report(f, params)
-    except WrongFamilyKind:
-        comp = None
     return DensityReport(
         distinct_params=len(set(params)),
         histogram=hist,
         padic=padic,
-        component=comp,
+        component=component_report(f, params),
     )

@@ -36,14 +36,17 @@ from .factorization import (
 from .families import (
     Family,
     TotalSpacePoint,
+    TwistLinear,
     WeierstrassPencil,
     declared_generic_rank,
     family_id,
     fiber_at,
+    twist_witness,
+    validate_family,
     witness_stream,
 )
-from .heights import GramCertificate, HeightEstimate, _as_decimal, gram_certify
-from .polynomials import Poly, depress_cubic, is_separable_cubic, poly_eval
+from .heights import GramCertificate, HeightEstimate, gram_certify, tolerance
+from .polynomials import Poly, poly_eval
 from .rationals import format_rational, is_rational_square, iter_rationals, rat_height
 
 DEFAULT_SCAN_TOL = Decimal("1e-4")
@@ -117,7 +120,7 @@ def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> Witnes
     positive determinant, so most independent sets resolve well above that
     depth.
     """
-    gram_tol = _as_decimal(tol) / 10
+    gram_tol = tolerance(tol) / 10
     declared = declared_generic_rank(f)
     C = w.curve
     sections = f.sections_at(w.param, C)
@@ -211,7 +214,7 @@ def scan(
         raise ValueError("bound must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    tol_d = _as_decimal(tol)
+    tol_d = tolerance(tol)
     points, stats = witness_stream(f, bound, mode)
 
     if jobs > 1 and len(points) > 1:
@@ -292,7 +295,7 @@ def neron_check(f: WeierstrassPencil, bound: int, tol=DEFAULT_SCAN_TOL) -> Neron
         raise ValueError("neron_check needs a Weierstrass pencil with >= 1 section")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    tol_d = _as_decimal(tol)
+    tol_d = tolerance(tol)
     certified = 0
     inconclusive: list[Fraction] = []
     dependent: list[tuple[Fraction, tuple[int, ...]]] = []
@@ -401,17 +404,19 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
     """Find r independent square classes d with a certified non-torsion
     point on each twist, by walking x0 = 1, 2, ..., bound.
 
-    Each hit p(x0) = d * s^2 (d squarefree, d not in {0, 1}) yields the
-    point (d*(x0 + shift), d^2 s) on Y^2 = X^3 + A d^2 X + B d^3.
+    Each hit p(x0) = d * s^2 (d squarefree, d not in {0, 1}) is the
+    point (x0, s) on the fiber t = d of twist_linear t y^2 = p(x), mapped
+    into Y^2 = X^3 + A d^2 X + B d^3 by `twist_witness`.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if not is_separable_cubic(p):
-        raise ValueError("p must be a separable monic cubic")
+    f = TwistLinear(p=p)
+    bad = [x.message for x in validate_family(f) if x.severity == "error"]
+    if bad:
+        raise ValueError("; ".join(bad))
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    A, B, shift = depress_cubic(p)
-    base = Curve(A, B)
+    base = Curve(*f.depressed[:2])
     classes: list[SquareClass] = []
     witnesses: list[BillingWitness] = []
     for n in range(1, bound + 1):
@@ -425,16 +430,14 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
         d = Fraction(cls.squarefree)
         s = is_rational_square(val / d)
         _require(s is not None, f"p({n}) / {cls.squarefree} is not a square")
-        twist = Curve(A * d * d, B * d**3)
-        P = Point(d * (x0 + shift), d * d * s)
-        _require(on_curve(twist, P), f"twist point from x0 = {n} is off its twist")
-        if is_torsion(twist, P):
+        w = twist_witness(f, d, x0, s)
+        if is_torsion(w.curve, w.witness):
             continue
         ok, _ = square_class_independent(classes + [cls])
         if not ok:
             continue
         classes.append(cls)
-        witnesses.append(BillingWitness(x0=x0, s=s, point=P, twist_curve=twist))
+        witnesses.append(BillingWitness(x0=x0, s=s, point=w.witness, twist_curve=w.curve))
         if len(classes) == r:
             break
     if len(classes) < r:

@@ -61,10 +61,6 @@ class SearchExhausted(RankJumpError):
     """An enumeration bound was exhausted before the goal was reached."""
 
 
-class WrongFamilyKind(RankJumpError):
-    """An operation specific to one family kind got another kind."""
-
-
 class FamilyFormatError(RankJumpError):
     """A family description (JSON or CLI) does not match the schema."""
 

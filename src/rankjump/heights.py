@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import Optional, Sequence
 
 from .curves import (
@@ -192,12 +192,16 @@ def depth_for_tolerance(alpha: Decimal, beta: Decimal, tol: Decimal) -> int:
     )
 
 
-def _as_decimal(tol) -> Decimal:
-    if isinstance(tol, Decimal):
-        return tol
-    if isinstance(tol, float):
-        return Decimal(repr(tol))
-    return Decimal(str(tol))
+def tolerance(tol) -> Decimal:
+    """tol as a Decimal (a float through its repr); ValueError unless it
+    is a finite decimal > 0."""
+    try:
+        tol_d = Decimal(repr(tol) if isinstance(tol, float) else str(tol))
+    except InvalidOperation:
+        tol_d = None
+    if tol_d is None or not tol_d.is_finite() or tol_d <= 0:
+        raise ValueError(f"tol must be a finite decimal > 0, got {tol!r}")
+    return tol_d
 
 
 def height_interval(C: Curve, P: Point, depth: int) -> Interval:
@@ -215,9 +219,7 @@ def canonical_height(C: Curve, P: Point, tol=Decimal("1e-6")) -> HeightEstimate:
 
     Raises ToleranceUnreachable when the required depth exceeds the cap.
     """
-    tol_d = _as_decimal(tol)
-    if tol_d <= 0:
-        raise ValueError("tol must be positive")
+    tol_d = tolerance(tol)
     if not on_curve(C, P):
         raise PointNotOnCurve(f"{P} not on {C}")
     m = _Model(C)
@@ -238,8 +240,9 @@ def canonical_height(C: Curve, P: Point, tol=Decimal("1e-6")) -> HeightEstimate:
 
 def height_pairing(C: Curve, P: Point, Q: Point, tol=Decimal("1e-6")) -> Interval:
     """Enclosure of <P,Q> = (hhat(P+Q) - hhat(P) - hhat(Q))/2."""
+    tol_d = tolerance(tol)
     m = _Model(C)
-    depth = depth_for_tolerance(m.alpha, m.beta, _as_decimal(tol))
+    depth = depth_for_tolerance(m.alpha, m.beta, tol_d)
     S = add(C, P, Q)
     return (m.enclose(S, depth) - m.enclose(P, depth) - m.enclose(Q, depth)).div_exact_int(2)
 
@@ -279,7 +282,7 @@ def gram_certify(C: Curve, points: Sequence[Point], tol=Decimal("1e-4")) -> Gram
     or a chain hits the coordinate budget.  Every intermediate enclosure
     is rigorous, so stopping early never produces a false certificate.
     """
-    tol_d = _as_decimal(tol)
+    tol_d = tolerance(tol)
     pts = list(points)
     if not pts:
         raise EmptyInput("gram_certify needs at least one point")

@@ -88,6 +88,20 @@ def test_billing_exhausted_exit_code(tmp_path):
     assert main(["billing", "--p", "0,-1,0,1", "--rank", "3", "--bound", "2"]) == 3
 
 
+@pytest.mark.parametrize(
+    "p,message",
+    [
+        ("0,1,1", "p must be a cubic, got degree 2"),
+        ("0,-1,0,2", "p must be monic"),
+        ("0,0,0,1", "p must be separable"),
+    ],
+)
+def test_billing_bad_p_exits_2(capsys, p, message):
+    # billing rejects p with the findings `validate` gives twist_linear p.
+    assert main(["billing", "--p", p, "--rank", "1", "--bound", "5"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_neron(tmp_path):
     fam = _write(tmp_path, "p.json", PENCIL)
     out = str(tmp_path / "neron.json")

@@ -10,8 +10,7 @@ from rankjump.density import (
     padic_coverage,
     real_histogram,
 )
-from rankjump.errors import WrongFamilyKind
-from rankjump.families import TwistLinear, TwistQuadratic
+from rankjump.families import CubicPencil, TwistLinear, TwistQuadratic, family_from_json
 from rankjump.polynomials import poly
 
 X3_PLUS_1 = poly([1, 0, 0, 1])
@@ -92,9 +91,75 @@ def test_component_report_sign_regions():
     assert middle.d_sign == -1
 
 
+PENCIL = family_from_json(
+    {
+        "kind": "weierstrass_pencil",
+        "A": {"num": ["1"], "den": ["1"]},
+        "B": {"num": ["0", "-1", "1", "-1"], "den": ["1"]},
+        "sections": [[["0", "1"], ["0", "1"]]],
+    }
+)
+
+
 def test_component_report_wrong_kind():
-    with pytest.raises(WrongFamilyKind):
-        component_report(TwistLinear(p=X3_PLUS_1), [])
+    for f in (TwistLinear(p=X3_PLUS_1), CubicPencil(), PENCIL):
+        assert component_report(f, [Fraction(1), Fraction(-3, 2)]) is None
+        assert density_report(f, [Fraction(1)]).to_json()["component"] is None
+
+
+def _reference_regions(f, params):
+    """The region rule written out by brute force: a default-grid bin
+    [b0, b1) is inner when both edges satisfy the region's inequality, and
+    hit when some param q has b0 <= q < b1."""
+    a = f.a
+    c_sign = 1 if f.c > 0 else -1
+    if a < 0:
+        regions = [("all t", c_sign, lambda q: True)]
+    else:
+        regions = [
+            ("t < -sqrt(a)", c_sign, lambda q: q < 0 and q * q > a),
+            ("-sqrt(a) < t < sqrt(a)", -c_sign, lambda q: q * q < a),
+            ("t > sqrt(a)", c_sign, lambda q: q > 0 and q * q > a),
+        ]
+    out = []
+    for name, sign, inside in regions:
+        members = [q for q in params if inside(q)]
+        inner = [(Fraction(b), Fraction(b + 1)) for b in range(-10, 10)]
+        inner = [(b0, b1) for b0, b1 in inner if inside(b0) and inside(b1)]
+        cov = None
+        if inner:
+            hit = sum(1 for b0, b1 in inner if any(b0 <= q < b1 for q in members))
+            cov = Fraction(hit, len(inner))
+        out.append((name, sign, len(members), bool(members), cov))
+    return out
+
+
+@st.composite
+def _twist_and_params(draw):
+    c = draw(st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(lambda c: c != 0))
+    roots = []
+    if draw(st.booleans()):
+        s = draw(st.fractions(min_value=0, max_value=12, max_denominator=4).filter(lambda s: s != 0))
+        a = s * s
+        roots = [s, -s]
+    else:
+        a = draw(st.fractions(min_value=-150, max_value=150, max_denominator=9).filter(lambda a: a != 0))
+    edges = [Fraction(n) for n in range(-10, 11)]
+    q = st.one_of(
+        st.fractions(min_value=-12, max_value=12, max_denominator=12),
+        st.sampled_from(edges + roots),
+    )
+    return TwistQuadratic(c=c, a=a, p=X3_PLUS_1), draw(st.lists(q, max_size=40))
+
+
+@given(_twist_and_params())
+def test_component_report_matches_bruteforce(case):
+    f, params = case
+    got = [
+        (r.name, r.d_sign, r.count, r.hit, r.bin_coverage)
+        for r in component_report(f, params).regions
+    ]
+    assert got == _reference_regions(f, params)
 
 
 @given(st.fractions(max_denominator=25), st.fractions(max_denominator=9).filter(lambda a: a != 0))

@@ -25,7 +25,7 @@ from rankjump.families import (
     twist_witness,
     witness_stream,
 )
-from rankjump.heights import gram_certify
+from rankjump.heights import canonical_height, gram_certify, height_pairing
 from rankjump.polynomials import poly, ratfunc
 
 X3_MINUS_X = poly([0, -1, 0, 1])
@@ -36,6 +36,34 @@ PENCIL = WeierstrassPencil(
     B=ratfunc([0, -1, 1, -1]),
     sections=((ratfunc([0, 1]), ratfunc([0, 1])),),
 )
+
+
+def _tol_calls():
+    C, P, Q = curve(-36, 0), point(-3, 9), point(12, 36)
+    f = TwistLinear(p=X3_MINUS_X)
+    w = twist_witness(f, Fraction(6), Fraction(2), Fraction(1))
+    return [
+        lambda t: scan(CubicPencil(), 1, "fiber-first", tol=t),  # empty stream
+        lambda t: scan(f, 8, tol=t),
+        lambda t: neron_check(PENCIL, 1, tol=t),
+        lambda t: certify_fiber(f, w, t),
+        lambda t: gram_certify(C, [P], t),
+        lambda t: canonical_height(C, P, t),
+        lambda t: height_pairing(C, P, Q, t),
+    ]
+
+
+@pytest.mark.parametrize("tol", [0, -1, "nan", "inf", "abc", float("nan"), float("inf")])
+def test_bad_tol_raises_value_error(monkeypatch, tol):
+    # The tolerance is checked at entry: no walk starts before it fails.
+    def no_walk(*args):
+        raise AssertionError("walk started before the tolerance check")
+
+    monkeypatch.setattr("rankjump.engine.witness_stream", no_walk)
+    monkeypatch.setattr("rankjump.engine.iter_rationals", no_walk)
+    for call in _tol_calls():
+        with pytest.raises(ValueError, match="finite decimal > 0"):
+            call(tol)
 
 
 def test_certify_fiber_twist_linear():
