@@ -22,13 +22,14 @@ from .curves import Curve, on_curve, parse_point
 from .density import density_report
 from .engine import (
     CSV_COLUMNS,
+    DEFAULT_SCAN_TOL,
     billing_build,
     neron_check,
     scan,
 )
 from .errors import RankJumpError, SearchExhausted
 from .families import family_from_json, validate_family
-from .heights import canonical_height, tolerance
+from .heights import DEFAULT_HEIGHT_TOL, canonical_height, tolerance
 from .polynomials import parse_poly
 from .rationals import parse_rational
 
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--family", required=True)
     s.add_argument("--bound", required=True, type=int)
     s.add_argument("--mode", choices=["total-first", "fiber-first"], default="total-first")
-    s.add_argument("--tol", type=_tol, default="1e-4")
+    s.add_argument("--tol", type=_tol, default=DEFAULT_SCAN_TOL)
     s.add_argument("--out", default=None)
     s.add_argument("--format", choices=["csv", "json"], default="csv")
     s.add_argument("--jobs", type=_jobs, default=1)
@@ -192,14 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     n = sub.add_parser("neron", help="empirical specialization-injectivity check")
     n.add_argument("--family", required=True)
     n.add_argument("--bound", required=True, type=int)
-    n.add_argument("--tol", type=_tol, default="1e-4")
+    n.add_argument("--tol", type=_tol, default=DEFAULT_SCAN_TOL)
     n.add_argument("--out", default=None)
     n.set_defaults(fn=cmd_neron)
 
     h = sub.add_parser("height", help="canonical height of one point")
     h.add_argument("--curve", required=True, type=_curve, help="A,B as rationals")
     h.add_argument("--point", required=True, help='"x,y" or "inf"')
-    h.add_argument("--tol", type=_tol, default="1e-6")
+    h.add_argument("--tol", type=_tol, default=DEFAULT_HEIGHT_TOL)
     h.set_defaults(fn=cmd_height)
     return ap
 

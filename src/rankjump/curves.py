@@ -45,7 +45,7 @@ class Curve:
     B: Fraction
 
     def __post_init__(self) -> None:
-        if 4 * self.A**3 + 27 * self.B**2 == 0:
+        if self.discriminant == 0:
             raise SingularCurve(
                 f"4A^3+27B^2 = 0 for A={format_rational(self.A)}, B={format_rational(self.B)}"
             )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .families import Family, TwistQuadratic
+from .families import Family
 from .rationals import format_rational
 
 DEFAULT_RANGE = (Fraction(-10), Fraction(10))
@@ -125,7 +125,7 @@ def padic_coverage(params: Sequence[Fraction], p: int, k: int) -> PadicCoverage:
 
 @dataclass(frozen=True)
 class Region:
-    """A sign region of d(t) = c(t^2 - a) on the real line."""
+    """A sign region of the twist coefficient d(t) on the real line."""
 
     name: str
     d_sign: int
@@ -152,29 +152,17 @@ class ComponentReport:
 
 
 def component_report(f: Family, params: Sequence[Fraction]) -> Optional[ComponentReport]:
-    """Partition the t-line by the sign of d(t) = c(t^2 - a) and report
-    which regions the certified parameters reach; None for every family
-    kind but the quadratic twist.
+    """Report which of the family's sign regions (`Family.sign_regions`)
+    the certified parameters reach; None for a kind without them.
 
-    For a < 0 the twist coefficient never changes sign and there is a
-    single region.  For a > 0 the rational boundary tests t^2 vs a are
-    exact even though the roots +-sqrt(a) are irrational.  A region's
-    inner bins are the default-grid bins with both edges inside it.  Each
-    region is an interval, so every param in an inner bin is a member, and
-    the bin is hit exactly when its histogram count is non-zero.
+    A region's inner bins are the default-grid bins with both edges inside
+    it.  Each region is an interval, so every param in an inner bin is a
+    member, and the bin is hit exactly when its histogram count is
+    non-zero.
     """
-    if not isinstance(f, TwistQuadratic):
+    regions = f.sign_regions()
+    if regions is None:
         return None
-    a = f.a
-    c_sign = 1 if f.c > 0 else -1
-    if a < 0:
-        regions = [("all t", c_sign, lambda q: True)]
-    else:
-        regions = [
-            ("t < -sqrt(a)", c_sign, lambda q: q < 0 and q * q > a),
-            ("-sqrt(a) < t < sqrt(a)", -c_sign, lambda q: q * q < a),
-            ("t > sqrt(a)", c_sign, lambda q: q > 0 and q * q > a),
-        ]
     hist = real_histogram(params, DEFAULT_RANGE[0], DEFAULT_RANGE[1], DEFAULT_BINS)
     e = hist.edges()
     out = []

@@ -23,7 +23,6 @@ from .curves import Curve, Point, is_torsion, on_curve, small_relation_search
 from .errors import (
     DegenerateFiber,
     InvalidCertificate,
-    PointNotOnCurve,
     PoleAtPoint,
     SearchExhausted,
 )
@@ -37,9 +36,6 @@ from .families import (
     Family,
     TotalSpacePoint,
     TwistLinear,
-    WeierstrassPencil,
-    declared_generic_rank,
-    family_id,
     fiber_at,
     twist_witness,
     validate_family,
@@ -121,15 +117,11 @@ def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> Witnes
     depth.
     """
     gram_tol = tolerance(tol) / 10
-    declared = declared_generic_rank(f)
+    declared = f.declared_generic_rank
     C = w.curve
     sections = f.sections_at(w.param, C)
     live_sections = [P for P in sections if not is_torsion(C, P)]
-
-    if not on_curve(C, w.witness):
-        raise PointNotOnCurve("witness does not lie on the fiber")
-
-    torsion = is_torsion(C, w.witness)
+    torsion = is_torsion(C, w.witness)  # raises PointNotOnCurve off the fiber
     # Sections may meet at this parameter; a bound from distinct points is sound.
     pts = list(dict.fromkeys(live_sections + ([] if torsion else [w.witness])))
     gram = gram_certify(C, pts, gram_tol) if pts else None
@@ -142,7 +134,7 @@ def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> Witnes
     else:
         status = "certified" if gram.certified else "inconclusive"
     return WitnessCertificate(
-        family_id=family_id(f),
+        family_id=f.family_id,
         param=w.param,
         curve=C,
         section_points=tuple(sections),
@@ -247,7 +239,7 @@ def scan(
     ordered = sorted(kept.values(), key=lambda c: (rat_height(c.param), c.param))
     certified = sum(1 for c in ordered if c.status == "certified")
     return ScanReport(
-        family_id=family_id(f),
+        family_id=f.family_id,
         bound=bound,
         mode=mode,
         tol=str(tol_d),
@@ -290,8 +282,8 @@ class NeronCheckReport:
         }
 
 
-def neron_check(f: WeierstrassPencil, bound: int, tol=DEFAULT_SCAN_TOL) -> NeronCheckReport:
-    if not isinstance(f, WeierstrassPencil) or not f.sections:
+def neron_check(f: Family, bound: int, tol=DEFAULT_SCAN_TOL) -> NeronCheckReport:
+    if not f.sections:
         raise ValueError("neron_check needs a Weierstrass pencil with >= 1 section")
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -317,7 +309,7 @@ def neron_check(f: WeierstrassPencil, bound: int, tol=DEFAULT_SCAN_TOL) -> Neron
         else:
             inconclusive.append(lam)
     return NeronCheckReport(
-        family_id=family_id(f),
+        family_id=f.family_id,
         bound=bound,
         tol=str(tol_d),
         sampled=sampled,

@@ -12,13 +12,16 @@ c = -(lam^3 + 1), becomes Y^2 = X^3 - 432c^2 under the classical map
 X = 12c/(x+y), Y = 36c(x-y)/(x+y); x + y = 0 lands on the 3-torsion
 packet of the zero section and is skipped.
 
-Each family kind is one frozen dataclass that owns what is specific to
-it: its identifier, validation findings, fiber at a parameter, witness
-walks and sections.  Its JSON fields are its dataclass fields.  The
-module functions dispatch to the kind.  What depends on the family alone
-(its identifier, a twist's depressed cubic and d(t)) is computed once per
-family object and cached on it; the cache is not a field, so equality,
-hashing and the JSON form ignore it.
+Each family kind is one frozen dataclass that answers every fact about
+itself: identifier, declared generic rank, sections, validation findings,
+fiber at a parameter, witness walks and sign regions.  Its JSON fields are
+its dataclass fields.  What depends on the family alone (its identifier, a
+twist's depressed cubic and d(t)) is computed once per family object and
+cached on it; the cache is not a field, so equality, hashing and the JSON
+form ignore it.  Module-level code is what no single kind owns: the JSON
+codec, the maps `twist_witness` and `cubic_witness` from a walk's point
+into its fiber, the `witness_stream` driver, and the public entry points
+`validate_family` and `fiber_at`.
 
 A candidate carries its fiber: the walk that finds a witness keeps the
 curve it built at that parameter, and certification runs on that curve
@@ -31,7 +34,7 @@ from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .curves import Curve, Point, on_curve
 from .errors import (
@@ -48,7 +51,6 @@ from .polynomials import (
     degree,
     depress_cubic,
     format_poly,
-    is_separable_cubic,
     is_squarefree,
     parse_poly,
     poly,
@@ -92,13 +94,14 @@ def _error(code: str, message: str) -> Finding:
 class StreamStats:
     enumerated: int = 0
     degenerate_skipped: int = 0
-    duplicates: int = 0
     emitted: int = 0
 
 
 class Family:
     """Base of the family kinds.  The defaults fit a kind whose identifier
-    is its kind name, with no sections and no total-space walk."""
+    is its kind name, with no sections, sign regions or total-space walk."""
+
+    sections: tuple[tuple[RatFunc, RatFunc], ...] = ()
 
     def __post_init__(self) -> None:
         rank = self.generic_rank
@@ -110,15 +113,31 @@ class Family:
             raise FamilyFormatError(f"generic_rank must be an integer >= 0, got {rank!r}")
 
     @cached_property
-    def ident(self) -> str:
+    def family_id(self) -> str:
         return self.kind
+
+    @property
+    def declared_generic_rank(self) -> int:
+        """The declared generic rank, else the number of declared sections."""
+        return len(self.sections) if self.generic_rank is None else self.generic_rank
 
     def findings(self) -> list[Finding]:
         return []
 
+    def sign_regions(self) -> Optional[list[tuple[str, int, Callable[[Fraction], bool]]]]:
+        """(name, sign of the twist coefficient, membership) for each sign
+        region of the t-line; None for kinds without such a report."""
+        return None
+
     def sections_at(self, lam: Fraction, C: Curve) -> list[Point]:
         """The declared sections at lam, each verified on the fiber C."""
-        return []
+        out = []
+        for X, Y in self.sections:
+            P = Point(X.eval(lam), Y.eval(lam))
+            if not on_curve(C, P):
+                raise NotOnTotalSpace(f"section specializes off the fiber at {lam}")
+            out.append(P)
+        return out
 
     def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
         return self.fiber_first(bound, stats)
@@ -166,7 +185,7 @@ class _Twist(Family):
             out.append(
                 _error("p-monic", "p must be monic (non-monic twists are rejected, not normalized)")
             )
-        elif not is_separable_cubic(self.p):
+        elif not is_squarefree(self.p):
             out.append(_error("p-separable", "p must be separable: its discriminant vanishes"))
         out += self._d_findings()
         if self.generic_rank != 0:
@@ -230,7 +249,7 @@ class TwistLinear(_Twist):
     d = poly([0, 1])  # d(t) = t
 
     @cached_property
-    def ident(self) -> str:
+    def family_id(self) -> str:
         return f"twist_linear[p={poly_text(self.p)}]"
 
     def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
@@ -253,11 +272,25 @@ class TwistQuadratic(_Twist):
         return poly([-self.c * self.a, 0, self.c])
 
     @cached_property
-    def ident(self) -> str:
+    def family_id(self) -> str:
         return (
             f"twist_quadratic[c={format_rational(self.c)},a={format_rational(self.a)},"
             f"p={poly_text(self.p)}]"
         )
+
+    def sign_regions(self) -> list[tuple[str, int, Callable[[Fraction], bool]]]:
+        """For a < 0, d never changes sign and there is a single region.
+        For a > 0, testing t^2 against a is exact although +-sqrt(a) are
+        irrational."""
+        a = self.a
+        c_sign = 1 if self.c > 0 else -1
+        if a < 0:
+            return [("all t", c_sign, lambda q: True)]
+        return [
+            ("t < -sqrt(a)", c_sign, lambda q: q < 0 and q * q > a),
+            ("-sqrt(a) < t < sqrt(a)", -c_sign, lambda q: q * q < a),
+            ("t > sqrt(a)", c_sign, lambda q: q > 0 and q * q > a),
+        ]
 
     def _d_findings(self) -> list[Finding]:
         out = []
@@ -291,7 +324,7 @@ class TwistPoly(_Twist):
     kind = "twist_poly"
 
     @cached_property
-    def ident(self) -> str:
+    def family_id(self) -> str:
         return f"twist_poly[d={poly_text(self.d, 't')},p={poly_text(self.p)}]"
 
     def _d_findings(self) -> list[Finding]:
@@ -342,7 +375,7 @@ class WeierstrassPencil(Family):
     kind = "weierstrass_pencil"
 
     @cached_property
-    def ident(self) -> str:
+    def family_id(self) -> str:
         return f"weierstrass_pencil[{len(self.sections)} sections]"
 
     def findings(self) -> list[Finding]:
@@ -374,29 +407,11 @@ class WeierstrassPencil(Family):
         except (PoleAtPoint, SingularCurve) as exc:
             raise DegenerateFiber(str(exc)) from exc
 
-    def sections_at(self, lam: Fraction, C: Curve) -> list[Point]:
-        out = []
-        for X, Y in self.sections:
-            P = Point(X.eval(lam), Y.eval(lam))
-            if not on_curve(C, P):
-                raise NotOnTotalSpace(f"section specializes off the fiber at {lam}")
-            out.append(P)
-        return out
-
 
 _KINDS = {
     cls.kind: cls
     for cls in (TwistLinear, TwistQuadratic, TwistPoly, CubicPencil, WeierstrassPencil)
 }
-
-
-def declared_generic_rank(f: Family) -> int:
-    # generic_rank is None only on a pencil, which then declares its sections.
-    return len(f.sections) if f.generic_rank is None else f.generic_rank
-
-
-def family_id(f: Family) -> str:
-    return f.ident
 
 
 def validate_family(f: Family) -> list[Finding]:
@@ -492,7 +507,6 @@ def witness_stream(
     for w in walk(bound, stats):
         key = (w.param, w.witness.x)
         if key in seen:
-            stats.duplicates += 1
             continue
         seen.add(key)
         points.append(w)

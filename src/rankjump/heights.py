@@ -48,6 +48,9 @@ from .intervals import CTX, Interval, det_interval, ln_int_interval
 # Doubling depth hard cap: coordinate digits grow like 4^N.
 DEPTH_CAP = 14
 
+# Claimed error bound of `canonical_height` and `height_pairing` by default.
+DEFAULT_HEIGHT_TOL = Decimal("1e-6")
+
 # Per-chain coordinate budget (bits) for adaptive Gram refinement.  Chains
 # that would outgrow it stop refining; enclosures stay valid, so this can
 # only prevent a certification, never fabricate one.
@@ -118,7 +121,7 @@ class XChain:
             raise ValueError("chain requires an affine point")
         self.a = int(C.A)
         self.b = int(C.B)
-        self.t = abs(4 * (4 * self.a**3 + 27 * self.b**2))
+        self.t = abs(C.discriminant.numerator) // 4  # 4|4A^3 + 27B^2|
         self.u = P.x.numerator
         self.v = P.x.denominator
         self.depth = 0
@@ -214,7 +217,7 @@ def height_interval(C: Curve, P: Point, depth: int) -> Interval:
     return _Model(C).enclose(P, depth)
 
 
-def canonical_height(C: Curve, P: Point, tol=Decimal("1e-6")) -> HeightEstimate:
+def canonical_height(C: Curve, P: Point, tol=DEFAULT_HEIGHT_TOL) -> HeightEstimate:
     """Doubling-limit estimate with claimed error bound <= tol.
 
     Raises ToleranceUnreachable when the required depth exceeds the cap.
@@ -238,7 +241,7 @@ def canonical_height(C: Curve, P: Point, tol=Decimal("1e-6")) -> HeightEstimate:
     return est
 
 
-def height_pairing(C: Curve, P: Point, Q: Point, tol=Decimal("1e-6")) -> Interval:
+def height_pairing(C: Curve, P: Point, Q: Point, tol=DEFAULT_HEIGHT_TOL) -> Interval:
     """Enclosure of <P,Q> = (hhat(P+Q) - hhat(P) - hhat(Q))/2."""
     tol_d = tolerance(tol)
     m = _Model(C)

@@ -122,16 +122,6 @@ def depress_cubic(p: Poly) -> tuple[Fraction, Fraction, Fraction]:
     return A, B, s
 
 
-def cubic_discriminant(p: Poly) -> Fraction:
-    """Discriminant -4A^3 - 27B^2 of the depressed form."""
-    A, B, _ = depress_cubic(p)
-    return -4 * A**3 - 27 * B**2
-
-
-def is_separable_cubic(p: Poly) -> bool:
-    return cubic_discriminant(p) != 0
-
-
 def format_poly(p: Poly) -> list[str]:
     """Ascending-degree list of rational strings (the JSON wire form)."""
     return [format_rational(c) for c in p]

@@ -194,6 +194,30 @@ def test_neron_sections_meeting(tmp_path, family, relation):
     assert [d["relation"] for d in at0] == [relation]
 
 
+# y^2 = x^3 + 17 with eight constant sections: a witness makes a 9-point
+# Gram matrix.
+MORDELL_17 = {
+    "kind": "weierstrass_pencil",
+    "A": ["0"],
+    "B": ["17"],
+    "sections": [
+        [[x], [y]]
+        for x, y in (
+            ("-2", "3"), ("2", "5"), ("4", "9"), ("8", "23"),
+            ("43", "282"), ("52", "375"), ("5234", "378661"), ("-2", "-3"),
+        )
+    ],
+}
+
+
+def test_scan_pencil_with_eight_sections(tmp_path, capsys):
+    fam = _write(tmp_path, "p.json", MORDELL_17)
+    assert main(["validate", fam]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert main(["scan", "--family", fam, "--bound", "1", "--mode", "fiber-first"]) == 0
+    assert "certified 3 of 3 candidates" in capsys.readouterr().out
+
+
 def test_height_command(capsys):
     rc = main(["height", "--curve=-16,16", "--point", "0,4", "--tol", "1e-5"])
     assert rc == 0

@@ -18,6 +18,7 @@ from rankjump.families import (
     CubicPencil,
     TotalSpacePoint,
     TwistLinear,
+    TwistPoly,
     TwistQuadratic,
     WeierstrassPencil,
     cubic_witness,
@@ -209,6 +210,22 @@ def test_neron_check_smoke():
 def test_neron_check_needs_sections():
     with pytest.raises(ValueError):
         neron_check(WeierstrassPencil(A=ratfunc([1]), B=ratfunc([1])), 3)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        TwistLinear(p=X3_MINUS_X),
+        TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1),
+        TwistPoly(d=poly([1, 0, 1]), p=X3_MINUS_X),
+        CubicPencil(),
+        WeierstrassPencil(A=ratfunc([1]), B=ratfunc([1])),
+    ],
+    ids=lambda f: f.kind,
+)
+def test_neron_check_rejects_families_without_sections(f):
+    with pytest.raises(ValueError, match=r"^neron_check needs a Weierstrass pencil with >= 1 section$"):
+        neron_check(f, 3)
 
 
 def test_scan_skips_section_poles():

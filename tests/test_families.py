@@ -19,10 +19,8 @@ from rankjump.families import (
     TwistQuadratic,
     WeierstrassPencil,
     cubic_witness,
-    declared_generic_rank,
     euler_parametrize,
     family_from_json,
-    family_id,
     family_to_json,
     fiber_at,
     twist_witness,
@@ -233,22 +231,40 @@ def test_twist_constants_computed_once(monkeypatch):
 
 def test_cached_constants_leave_identity_alone():
     f = TwistQuadratic(c=Fraction(2), a=Fraction(-1), p=X3_PLUS_1)
-    fid, js, h = family_id(f), family_to_json(f), hash(f)
+    fid, js, h = f.family_id, family_to_json(f), hash(f)
     f.fiber(Fraction(1))  # fills the cached d(t) and depressed cubic
     assert f.d == poly([2, 0, 2])
     g = pickle.loads(pickle.dumps(f))
     assert g == f and hash(g) == hash(f) == h
     assert family_to_json(f) == js and family_to_json(g) == js
-    assert family_id(f) == family_id(g) == fid
+    assert f.family_id == g.family_id == fid
 
 
 def test_declared_generic_rank_defaults():
-    assert declared_generic_rank(TwistLinear(p=X3_MINUS_X)) == 0
-    assert declared_generic_rank(CubicPencil()) == 0
-    assert declared_generic_rank(PENCIL) == 1
-    assert declared_generic_rank(
-        WeierstrassPencil(A=PENCIL.A, B=PENCIL.B, sections=PENCIL.sections, generic_rank=0)
-    ) == 0
+    assert TwistLinear(p=X3_MINUS_X).declared_generic_rank == 0
+    assert CubicPencil().declared_generic_rank == 0
+    assert PENCIL.declared_generic_rank == 1
+    assert WeierstrassPencil(
+        A=PENCIL.A, B=PENCIL.B, sections=PENCIL.sections, generic_rank=0
+    ).declared_generic_rank == 0
+
+
+@pytest.mark.parametrize(
+    "f, rank",
+    [
+        (TwistLinear(p=X3_MINUS_X, generic_rank=2), 2),
+        (TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1), 0),
+        (TwistPoly(d=poly([1, 0, 1]), p=X3_MINUS_X, generic_rank=1), 1),
+        (CubicPencil(generic_rank=3), 3),
+        (PENCIL, 1),  # generic_rank None: the section count
+        (WeierstrassPencil(A=PENCIL.A, B=PENCIL.B), 0),
+        (WeierstrassPencil(A=PENCIL.A, B=PENCIL.B, sections=PENCIL.sections, generic_rank=4), 4),
+    ],
+)
+def test_declared_generic_rank_every_kind(f, rank):
+    # The rule: the declared rank when there is one, else the section count.
+    assert rank == (len(f.sections) if f.generic_rank is None else f.generic_rank)
+    assert f.declared_generic_rank == rank
 
 
 def test_family_json_roundtrip():

@@ -18,7 +18,6 @@ from rankjump.families import (
     TwistQuadratic,
     WeierstrassPencil,
     family_from_json,
-    family_id,
     family_to_json,
     validate_family,
 )
@@ -105,7 +104,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("fam, fid, wire, codes", GOLDEN, ids=[g[1] for g in GOLDEN])
 def test_family_golden(fam, fid, wire, codes):
-    assert family_id(fam) == fid
+    assert fam.family_id == fid
     assert family_to_json(fam) == wire
     assert family_from_json(wire) == fam
     assert [(f.severity, f.code) for f in validate_family(fam)] == codes

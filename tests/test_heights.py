@@ -187,9 +187,31 @@ def test_det_interval_vs_exact():
         assert iv.lo <= want <= iv.hi
 
 
-def test_det_interval_size_cap():
-    with pytest.raises(ValueError):
-        det_interval([[Interval.exact(1)] * 9 for _ in range(9)])
+def _gauss_det(M):
+    """Exact determinant by Fraction elimination."""
+    A = [[Fraction(x) for x in row] for row in M]
+    n, det = len(A), Fraction(1)
+    for c in range(n):
+        r = next((r for r in range(c, n) if A[r][c]), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            A[c], A[r], det = A[r], A[c], -det
+        det *= A[c][c]
+        for r in range(c + 1, n):
+            q = A[r][c] / A[c][c]
+            A[r] = [a - q * b for a, b in zip(A[r], A[c])]
+    return det
+
+
+def test_det_interval_beyond_8x8():
+    rng = random.Random(13)
+    for n in (9, 10):
+        M = [[Decimal(rng.randint(-40, 40)) / 4 for _ in range(n)] for _ in range(n)]
+        iv = det_interval([[Interval.exact(x) for x in row] for row in M])
+        want = _gauss_det(M)
+        assert want != 0 and iv.lo <= want <= iv.hi
+        assert iv.hi - iv.lo < Decimal("1e-30") * abs(Decimal(want.numerator) / want.denominator)
     with pytest.raises(EmptyInput):
         det_interval([])
 

@@ -5,11 +5,10 @@ from hypothesis import given, strategies as st
 
 from rankjump.errors import NotMonic, PoleAtPoint, WrongDegree
 from rankjump.polynomials import (
-    cubic_discriminant,
     degree,
     depress_cubic,
     format_poly,
-    is_separable_cubic,
+    is_squarefree,
     parse_poly,
     poly,
     poly_add,
@@ -35,19 +34,34 @@ def test_eval_examples():
 
 
 def test_discriminant_examples():
-    assert cubic_discriminant(X3_MINUS_X) == 4
-    assert is_separable_cubic(X3_MINUS_X)
-    assert cubic_discriminant(poly([1, 0, 0, 1])) == -27
-    assert is_separable_cubic(poly([1, 0, 0, 1]))
-    assert cubic_discriminant(poly([0, 0, 0, 1])) == 0
-    assert not is_separable_cubic(poly([0, 0, 0, 1]))
+    assert is_squarefree(X3_MINUS_X)
+    assert is_squarefree(poly([1, 0, 0, 1]))
+    assert not is_squarefree(poly([0, 0, 0, 1]))
+    assert not is_squarefree(poly([0, 1, -2, 1]))  # x (x - 1)^2
+
+
+_SMALL_Q = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@given(
+    st.one_of(
+        st.tuples(_SMALL_Q, _SMALL_Q, _SMALL_Q).map(lambda c: poly([*c, 1])),
+        # (x - r)^2 (x - s): a repeated root
+        st.tuples(_SMALL_Q, _SMALL_Q).map(
+            lambda rs: poly_mul(poly_mul(poly([-rs[0], 1]), poly([-rs[0], 1])), poly([-rs[1], 1]))
+        ),
+    )
+)
+def test_squarefree_iff_depressed_discriminant_nonzero(p):
+    A, B, _ = depress_cubic(p)
+    assert is_squarefree(p) == (-4 * A**3 - 27 * B**2 != 0)
 
 
 def test_discriminant_errors():
     with pytest.raises(WrongDegree):
-        cubic_discriminant(poly([1, 1]))
+        depress_cubic(poly([1, 1]))
     with pytest.raises(NotMonic):
-        cubic_discriminant(poly([1, 0, 0, 2]))
+        depress_cubic(poly([1, 0, 0, 2]))
 
 
 def test_depress_general_cubic():
