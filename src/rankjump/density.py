@@ -151,19 +151,20 @@ class ComponentReport:
         return {"regions": [r.to_json() for r in self.regions]}
 
 
-def component_report(f: Family, params: Sequence[Fraction]) -> Optional[ComponentReport]:
+def component_report(
+    f: Family, params: Sequence[Fraction], hist: Histogram
+) -> Optional[ComponentReport]:
     """Report which of the family's sign regions (`Family.sign_regions`)
     the certified parameters reach; None for a kind without them.
 
-    A region's inner bins are the default-grid bins with both edges inside
-    it.  Each region is an interval, so every param in an inner bin is a
-    member, and the bin is hit exactly when its histogram count is
-    non-zero.
+    A region's inner bins are the bins of `hist`, the default-grid
+    histogram of params, with both edges inside it.  Each region is an
+    interval, so every param in an inner bin is a member, and the bin is
+    hit exactly when its histogram count is non-zero.
     """
     regions = f.sign_regions()
     if regions is None:
         return None
-    hist = real_histogram(params, DEFAULT_RANGE[0], DEFAULT_RANGE[1], DEFAULT_BINS)
     e = hist.edges()
     out = []
     for name, sign, inside in regions:
@@ -202,5 +203,5 @@ def density_report(f: Family, params: Sequence[Fraction]) -> DensityReport:
         distinct_params=len(set(params)),
         histogram=hist,
         padic=padic,
-        component=component_report(f, params),
+        component=component_report(f, params, hist),
     )

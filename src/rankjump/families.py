@@ -10,7 +10,7 @@ multiplying d0*y^2 = p(x) through by d0^3:
 with s the depression shift.  The cubic pencil fiber x^3 + y^3 = c,
 c = -(lam^3 + 1), becomes Y^2 = X^3 - 432c^2 under the classical map
 X = 12c/(x+y), Y = 36c(x-y)/(x+y); x + y = 0 lands on the 3-torsion
-packet of the zero section and is skipped.
+packet of the zero section and is rejected.
 
 Each family kind is one frozen dataclass that answers every fact about
 itself: identifier, declared generic rank, sections, validation findings,
@@ -223,9 +223,8 @@ class _Twist(Family):
     ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
         """(x0, p(x0), y0) over rationals x0 and y0 > 0 with p(x0) != 0.
 
-        (x0, -y0) hits the same parameter with the mirrored witness, which
-        the (param, witness.x) dedup would drop; walking y0 > 0 skips the
-        waste.
+        A parameter and x0 fix y0^2, so walking y0 > 0 emits each point once,
+        as fiber-first does with one witness per (param, x0).
         """
         rats = list(iter_rationals(bound))
         ys = [y0 for y0 in rats if y0 > 0]
@@ -306,7 +305,7 @@ class TwistQuadratic(_Twist):
         return out
 
     def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
-        # solve c(t0^2 - a) y0^2 = p(x0)
+        # solve c(t0^2 - a) y0^2 = p(x0); t0 = s and -s are one point when s = 0
         for x0, px, y0 in self._xy_walk(bound, stats):
             s = is_rational_square(px / (self.c * y0 * y0) + self.a)
             if s is not None:
@@ -352,16 +351,7 @@ class CubicPencil(Family):
     def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
         for a, b in _euler_pairs(bound):
             stats.enumerated += 1
-            hit = euler_parametrize(a, b)
-            if hit is None:
-                stats.degenerate_skipped += 1
-                continue
-            try:
-                w = cubic_witness(*hit)
-            except LineAtInfinity:
-                stats.degenerate_skipped += 1
-                continue
-            yield w
+            yield cubic_witness(*euler_parametrize(a, b))
 
 
 @dataclass(frozen=True)
@@ -454,35 +444,34 @@ def cubic_witness(lam: Fraction, x: Fraction, y: Fraction) -> TotalSpacePoint:
 
 # Verified once by symbolic expansion (and re-verified per call in tests):
 # (3a^2+5ab-5b^2)^3 + (4a^2-4ab+6b^2)^3 + (5a^2-5ab-3b^2)^3 = (6a^2-4ab+4b^2)^3
-def euler_parametrize(a: int, b: int) -> Optional[tuple[Fraction, Fraction, Fraction]]:
-    """Euler's rational parametrization of x^3 + y^3 + z^3 + t^3 = 0.
-
-    Returns (lam, x, y) on the affine pencil when defined; None when the
-    line at infinity or a degenerate fiber is hit.
-    """
+def euler_parametrize(a: int, b: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Euler's parametrization of x^3 + y^3 + z^3 + t^3 = 0: for (a, b) != 0,
+    (lam, x, y) = (Z/T, X/T, Y/T) has T != 0, x + y != 0 and lam != -1, as
+    T = -(6a^2 - 4ab + 4b^2), X + Y = 7a^2 + ab + b^2 and T + Z =
+    -(a^2 + ab + 7b^2) are definite (discriminants -80, -27, -27).  Only
+    +-(a, b) repeat a point: X, Y, Z are independent in (a^2, ab, b^2)
+    (determinant 336), so (a : b) -> point is injective on P^1(Q).  Points
+    sharing (lam, witness.x) share x + y, so are (x, y) and (y, x); Euler
+    points lie in T = -X/4 - Y - Z/4, swapped ones in T = -Y/4 - X - Z/4,
+    and these planes meet only where X = Y, i.e. a^2 - 9ab + 11b^2 = 0,
+    which has no rational root (discriminant 37)."""
     if a == 0 and b == 0:
         raise ValueError("(a, b) must be nonzero")
     X = 3 * a * a + 5 * a * b - 5 * b * b
     Y = 4 * a * a - 4 * a * b + 6 * b * b
     Z = 5 * a * a - 5 * a * b - 3 * b * b
     T = -(6 * a * a - 4 * a * b + 4 * b * b)
-    if T == 0:
-        return None
-    lam = Fraction(Z, T)
-    if lam**3 + 1 == 0:
-        return None
-    return lam, Fraction(X, T), Fraction(Y, T)
+    return Fraction(Z, T), Fraction(X, T), Fraction(Y, T)
 
 
-def _euler_pairs(bound: int):
+def _euler_pairs(bound: int) -> Iterator[tuple[int, int]]:
+    """Coprime (a, b) by height max(|a|, |b|), lexicographic within a height;
+    of (a, b) and (-a, -b), which give one point, only the one < (0, 0)."""
     for m in range(1, bound + 1):
-        block = []
-        for a in range(-m, m + 1):
+        for a in range(-m, 1):
             for b in range(-m, m + 1):
-                if max(abs(a), abs(b)) == m and gcd(a, b) == 1:
-                    block.append((a, b))
-        block.sort()
-        yield from block
+                if max(-a, abs(b)) == m and (a, b) < (0, 0) and gcd(a, b) == 1:
+                    yield a, b
 
 
 def witness_stream(
@@ -493,8 +482,8 @@ def witness_stream(
     total-first walks rational points of the total space and projects them
     to fibers; fiber-first walks (param, x) pairs and solves for y.  Kinds
     without a total-space parametrization (TwistPoly, WeierstrassPencil)
-    fall back to fiber-first.  Duplicates on (param, witness.x) are
-    suppressed, first hit wins.
+    fall back to fiber-first.  No walk emits a (param, witness.x) twice;
+    the tests check this for each kind.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -502,14 +491,7 @@ def witness_stream(
         raise ValueError(f"unknown mode {mode!r}")
     stats = StreamStats()
     walk = f.total_first if mode == "total-first" else f.fiber_first
-    seen: set = set()
-    points: list[TotalSpacePoint] = []
-    for w in walk(bound, stats):
-        key = (w.param, w.witness.x)
-        if key in seen:
-            continue
-        seen.add(key)
-        points.append(w)
+    points = list(walk(bound, stats))
     stats.emitted = len(points)
     return points, stats
 

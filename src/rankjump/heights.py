@@ -276,7 +276,7 @@ class GramCertificate:
         }
 
 
-def gram_certify(C: Curve, points: Sequence[Point], tol=Decimal("1e-4")) -> GramCertificate:
+def gram_certify(C: Curve, points: Sequence[Point], tol) -> GramCertificate:
     """Certify independence of points via a positive interval Gram determinant.
 
     Refinement is adaptive: all height chains advance together, one

@@ -5,6 +5,7 @@ report.  Thresholds marked heuristic in the comments are coverage/count
 floors on finite scans, not theorems.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -183,6 +184,13 @@ def _certified_params(report_bytes) -> list[Fraction]:
     return out
 
 
+CUBIC12_DIGESTS = {
+    "": "8fcfce24626bedf6aeebc071b60a28ff9fbda276d8df70a1cdf73927c18979f9",
+    ".density.json": "bcf473b9dcf19e38f07f9a2b26b13a8be67d75b3e7113e2848ac4ff3482904a4",
+    ".histogram.csv": "75ee1611b40b213f82d2a4b371a0c1055643e64e628adedc1c7f8f696e8d1f8a",
+}
+
+
 def test_criterion_3_cubic_pencil(workdir):
     t0 = time.monotonic()
     data, _ = _run_scan(workdir, "cubic.json", 12, "total-first", "cubic12.json")
@@ -196,6 +204,13 @@ def test_criterion_3_cubic_pencil(workdir):
     assert all(c["declared_generic_rank"] == 0 for c in rep["certificates"])
     assert len(jumps) >= 30
     assert elapsed < 120
+    # No benchmark workload reaches the Euler walk, so these digests are its byte gate.
+    out = workdir / "cubic12.json"
+    digests = {
+        suffix: hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest()
+        for suffix in ("", ".density.json", ".histogram.csv")
+    }
+    assert digests == CUBIC12_DIGESTS
     _report(3, f"{len(params)} certified cubic-pencil params (incl. -5/6, 3/4), {elapsed:.1f}s")
 
 

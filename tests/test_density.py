@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from rankjump import density
 from rankjump.density import (
+    DEFAULT_BINS,
+    DEFAULT_RANGE,
     component_report,
     density_report,
     padic_coverage,
@@ -14,6 +17,11 @@ from rankjump.families import CubicPencil, TwistLinear, TwistQuadratic, family_f
 from rankjump.polynomials import poly
 
 X3_PLUS_1 = poly([1, 0, 0, 1])
+
+
+def _grid(params):
+    """The default-grid histogram that `density_report` passes on."""
+    return real_histogram(params, *DEFAULT_RANGE, DEFAULT_BINS)
 
 
 def test_histogram_examples():
@@ -72,7 +80,8 @@ def test_padic_projection_compatibility(params):
 
 def test_component_report_single_region():
     f = TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1)  # d = t^2 + 1
-    rep = component_report(f, [Fraction(1), Fraction(-3)])
+    params = [Fraction(1), Fraction(-3)]
+    rep = component_report(f, params, _grid(params))
     assert len(rep.regions) == 1
     assert rep.regions[0].hit and rep.regions[0].count == 2
     assert rep.regions[0].d_sign == 1
@@ -80,7 +89,8 @@ def test_component_report_single_region():
 
 def test_component_report_sign_regions():
     f = TwistQuadratic(c=Fraction(1), a=Fraction(1), p=X3_PLUS_1)  # d = t^2 - 1
-    rep = component_report(f, [Fraction(2), Fraction(-2)])
+    params = [Fraction(2), Fraction(-2)]
+    rep = component_report(f, params, _grid(params))
     names = [r.name for r in rep.regions]
     assert len(rep.regions) == 3
     outer = [r for r in rep.regions if "sqrt(a) < t" not in r.name or "t <" in r.name]
@@ -103,7 +113,8 @@ PENCIL = family_from_json(
 
 def test_component_report_wrong_kind():
     for f in (TwistLinear(p=X3_PLUS_1), CubicPencil(), PENCIL):
-        assert component_report(f, [Fraction(1), Fraction(-3, 2)]) is None
+        params = [Fraction(1), Fraction(-3, 2)]
+        assert component_report(f, params, _grid(params)) is None
         assert density_report(f, [Fraction(1)]).to_json()["component"] is None
 
 
@@ -157,7 +168,7 @@ def test_component_report_matches_bruteforce(case):
     f, params = case
     got = [
         (r.name, r.d_sign, r.count, r.hit, r.bin_coverage)
-        for r in component_report(f, params).regions
+        for r in component_report(f, params, _grid(params)).regions
     ]
     assert got == _reference_regions(f, params)
 
@@ -165,12 +176,25 @@ def test_component_report_matches_bruteforce(case):
 @given(st.fractions(max_denominator=25), st.fractions(max_denominator=9).filter(lambda a: a != 0))
 def test_component_regions_partition(q, a):
     f = TwistQuadratic(c=Fraction(1), a=a, p=X3_PLUS_1)
-    rep = component_report(f, [q])
+    rep = component_report(f, [q], _grid([q]))
     total = sum(r.count for r in rep.regions)
     if q * q == a:  # boundary points lie in no region (degenerate params)
         assert total == 0
     else:
         assert total == 1
+
+
+def test_density_report_bins_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real_histogram(*args)
+
+    monkeypatch.setattr(density, "real_histogram", counting)
+    f = TwistQuadratic(c=Fraction(1), a=Fraction(1), p=X3_PLUS_1)
+    rep = density_report(f, [Fraction(2), Fraction(-2)])
+    assert rep.component is not None and len(calls) == 1
 
 
 def test_density_report_shape():

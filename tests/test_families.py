@@ -1,5 +1,6 @@
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,10 +15,12 @@ from rankjump.errors import (
 )
 from rankjump.families import (
     CubicPencil,
+    StreamStats,
     TwistLinear,
     TwistPoly,
     TwistQuadratic,
     WeierstrassPencil,
+    _euler_pairs,
     cubic_witness,
     euler_parametrize,
     family_from_json,
@@ -133,11 +136,18 @@ def test_euler_hits_total_space():
         for b in range(-6, 7):
             if (a, b) == (0, 0):
                 continue
-            hit = euler_parametrize(a, b)
-            if hit is None:
-                continue
-            lam, x, y = hit
+            lam, x, y = euler_parametrize(a, b)
             assert x**3 + y**3 == -(lam**3 + 1)
+            w = cubic_witness(lam, x, y)  # raises off a smooth affine fiber
+            assert on_curve(w.curve, w.witness)
+
+
+def test_euler_pairs_one_of_each_sign():
+    m = 6
+    box = [(a, b) for a in range(-m, m + 1) for b in range(-m, m + 1) if gcd(a, b) == 1]
+    smaller = {min(p, (-p[0], -p[1])) for p in box}
+    by_height = sorted(smaller, key=lambda p: (max(map(abs, p)), p))
+    assert list(_euler_pairs(m)) == by_height
 
 
 def test_specialize_sections():
@@ -207,9 +217,12 @@ def test_witness_stream_emits_verified_points_only():
 @pytest.mark.parametrize("mode", ["total-first", "fiber-first"])
 @pytest.mark.parametrize("f", ONE_OF_EACH_KIND, ids=lambda f: f.kind)
 def test_candidates_carry_their_fiber(f, mode):
-    pts, _ = witness_stream(f, 3, mode)
+    walk = f.total_first if mode == "total-first" else f.fiber_first
+    pts = list(walk(3, StreamStats()))
     # No cubic-pencil fiber Y^2 = X^3 - 432c^2 has a point with X of height <= 3.
     assert pts or (f.kind, mode) == ("cubic_pencil", "fiber-first")
+    # Each walk emits each point once; witness_stream relies on it.
+    assert len({(w.param, w.witness.x) for w in pts}) == len(pts)
     for w in pts:
         assert w.curve == fiber_at(f, w.param)
         assert on_curve(w.curve, w.witness)
