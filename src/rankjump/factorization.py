@@ -3,9 +3,14 @@ and F2 linear algebra on square classes.
 
 Trial division runs over the primes below 1000; anything left is split
 with Brent's variant of Pollard rho after a deterministic Miller-Rabin
-test.  The bound follows the measured traffic: over 4,161 factorizations
-in twist, pencil, cubic-pencil and billing runs, no input had a prime
-factor of 1000 or more, and the largest input had 62 bits.
+test.  Measured traffic: 42,378 factorizations over the twist_quadratic
+bound 40 fiber-first, twist_linear bound 8 total-first and pencil bound 8
+fiber-first scans of perfbench's 13 instances, the cubic pencil at bound
+12 and `billing` of x^3 - x at rank 3, bound 10.  The largest input had
+62 bits (cubic pencil).  Only the twist fiber-first square-class join
+(one class per p(x0) and per d(lam), inputs up to 36 bits) left a prime
+factor of 1000 or more after trial division: 656-769 of its about 3,900
+factorizations per twist_quadratic scan.  No other input did.
 """
 
 from __future__ import annotations

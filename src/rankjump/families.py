@@ -45,6 +45,7 @@ from .errors import (
     PoleAtPoint,
     SingularCurve,
 )
+from .factorization import squarefree_part_of_rational
 from .polynomials import (
     Poly,
     RatFunc,
@@ -62,7 +63,7 @@ from .polynomials import (
 )
 from .rationals import (
     format_rational,
-    int_pair_is_square,
+    int_pair_is_square,  # unused here; perfbench's tracer counts calls through this binding
     is_rational_square,
     iter_rationals,
     parse_rational,
@@ -92,6 +93,21 @@ def _error(code: str, message: str) -> Finding:
 
 @dataclass
 class StreamStats:
+    """Counters of one witness walk.
+
+    - `enumerated`: the candidates the walk looked at.  The pencil
+      fiber-first walk counts every (param, X0) pair it square-tests; the
+      twist total-first walks count every (x0, y0) pair and the cubic walk
+      every Euler pair.  The twist fiber-first walk counts only the
+      (param, x0) pairs its square-class join returns, each a witness, so
+      there it equals `emitted`.
+    - `degenerate_skipped`: on fiber-first walks, the params whose fiber is
+      degenerate (d(param) = 0 on twists); on the twist total-first walks,
+      the (x0, y0) pairs with p(x0) = 0.  Only this counter reaches the
+      report.
+    - `emitted`: the points the walk yielded, set by `witness_stream`.
+    """
+
     enumerated: int = 0
     degenerate_skipped: int = 0
     emitted: int = 0
@@ -202,20 +218,39 @@ class _Twist(Family):
         return []
 
     def fiber_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
+        """(lam, x0) pairs with d(lam) * y0^2 = p(x0), joined on square classes.
+
+        For d0 != 0, v/d0 is a rational square exactly when v = 0 or v and
+        d0 lie in the same class of Q*/(Q*)^2, i.e. have the same signed
+        squarefree part.  So each x0 is filed once under the class of p(x0),
+        and each lam reads the one list filed under the class of d(lam): one
+        factorization per rational, and the work per lam is its witnesses.
+        The rational roots of p (v = 0) square with every d0.  They are
+        merged once into every list at their place in walk order, and are
+        the whole list of a class no other x0 fills.  So each lam yields its
+        witnesses in the order of a (lam, x0) double loop over the rationals.
+        """
         rats = list(iter_rationals(bound))
         d = self.d
-        px = [(x0, poly_eval(self.p, x0)) for x0 in rats]
+        roots: list[tuple[int, Fraction, Fraction]] = []
+        buckets: dict[int, list[tuple[int, Fraction, Fraction]]] = {}
+        for i, x0 in enumerate(rats):
+            v = poly_eval(self.p, x0)
+            if v == 0:
+                roots.append((i, x0, v))
+            else:
+                cls = squarefree_part_of_rational(v).squarefree
+                buckets.setdefault(cls, []).append((i, x0, v))
+        for xs in buckets.values():
+            xs += roots
+            xs.sort()
         for lam in rats:
             d0 = poly_eval(d, lam)
             if d0 == 0:
                 stats.degenerate_skipped += 1
                 continue
-            dn, dd = d0.numerator, d0.denominator
-            for x0, v in px:
+            for _, x0, v in buckets.get(squarefree_part_of_rational(d0).squarefree, roots):
                 stats.enumerated += 1
-                # v/d0 is a square iff (vn*dd)*(vd*dn) is a perfect square
-                if not int_pair_is_square(v.numerator * dd, v.denominator * dn):
-                    continue
                 yield twist_witness(self, lam, x0, is_rational_square(v / d0))
 
     def _xy_walk(

@@ -78,6 +78,38 @@ def brute_force_subset_square(values: list[int]):
     return None
 
 
+def brute_force_twist_fiber_first(f, bound: int):
+    """The twist fiber-first walk as a plain double loop over (lam, x0).
+
+    Rationals come by ascending height, then value; p(x0)/d(lam) is tested
+    for being a square by isqrt on its reduced numerator and denominator.
+    Returns ([(lam, x0, y0) with y0 >= 0], number of lam with d(lam) = 0).
+    """
+    rats = sorted(
+        {Fraction(u, v) for v in range(1, bound + 1) for u in range(-bound, bound + 1)},
+        key=lambda q: (max(abs(q.numerator), q.denominator), q),
+    )
+
+    def ev(coeffs, x):
+        return sum(Fraction(c) * x**i for i, c in enumerate(coeffs))
+
+    px = [(x0, ev(f.p, x0)) for x0 in rats]
+    out = []
+    degenerate = 0
+    for lam in rats:
+        d0 = ev(f.d, lam)
+        if d0 == 0:
+            degenerate += 1
+            continue
+        for x0, v in px:
+            q = v / d0
+            rn = perfect_square_root(q.numerator)
+            rd = isqrt(q.denominator)
+            if rn is not None and rd * rd == q.denominator:
+                out.append((lam, x0, Fraction(rn, rd)))
+    return out, degenerate
+
+
 def perfect_square_root(n: int):
     if n < 0:
         return None

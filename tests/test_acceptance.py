@@ -184,6 +184,14 @@ def _certified_params(report_bytes) -> list[Fraction]:
     return out
 
 
+def _digests(out) -> dict[str, str]:
+    """sha256 of a scan's report and its two sidecar files."""
+    return {
+        suffix: hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest()
+        for suffix in ("", ".density.json", ".histogram.csv")
+    }
+
+
 CUBIC12_DIGESTS = {
     "": "8fcfce24626bedf6aeebc071b60a28ff9fbda276d8df70a1cdf73927c18979f9",
     ".density.json": "bcf473b9dcf19e38f07f9a2b26b13a8be67d75b3e7113e2848ac4ff3482904a4",
@@ -206,12 +214,16 @@ def test_criterion_3_cubic_pencil(workdir):
     assert elapsed < 120
     # No benchmark workload reaches the Euler walk, so these digests are its byte gate.
     out = workdir / "cubic12.json"
-    digests = {
-        suffix: hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest()
-        for suffix in ("", ".density.json", ".histogram.csv")
-    }
-    assert digests == CUBIC12_DIGESTS
+    assert _digests(out) == CUBIC12_DIGESTS
     _report(3, f"{len(params)} certified cubic-pencil params (incl. -5/6, 3/4), {elapsed:.1f}s")
+
+
+# The twist fiber-first walk has no other tier-1 byte gate.
+TWISTLIN20_DIGESTS = {
+    "": "ac4d86253b5d1ef2d2bf770061ea4685f6327c87f43ec0d1dd0914f6bc2a9d16",
+    ".density.json": "95cdc14f3c42c8147817072a0caab94c949a0bde58bd5dcdd67c065515cd289d",
+    ".histogram.csv": "8ac3fc988edad36c058d81c552e88ce32b51ca3c11ce5bb032ca8ec414d0cb55",
+}
 
 
 def test_criterion_4_twist_linear(workdir):
@@ -236,11 +248,19 @@ def test_criterion_4_twist_linear(workdir):
     # residue coverage mod 5 = 100%
     mod5 = [c for c in dens["padic"] if c["p"] == 5 and c["k"] == 1]
     assert mod5 and mod5[0]["coverage"] == "1"
+    assert _digests(workdir / "twistlin20.json") == TWISTLIN20_DIGESTS
     _report(
         4,
         f"{len(params)} certified twist params, t0=6 via (12,36), "
         f"coverage {coverage}, mod-5 full, {elapsed:.1f}s",
     )
+
+
+TWISTQUAD40_DIGESTS = {
+    "": "147150dac927013242b5d0e0ee4a75cf99e9462245287988b6f45a7c2f8f7c24",
+    ".density.json": "00d10c028916a8844cc9cdd2f58702a3ec1026e037e2307bc8060d9e7c4aef57",
+    ".histogram.csv": "10173a7638fce7301dd58633913e4297e312dcdca5a7f3adefe0e3ae82283c44",
+}
 
 
 def test_criterion_5_twist_quadratic(workdir):
@@ -258,6 +278,7 @@ def test_criterion_5_twist_quadratic(workdir):
     dens = json.loads(dens_bytes)
     regions = dens["component"]["regions"]
     assert len(regions) == 1 and regions[0]["hit"]
+    assert _digests(workdir / "twistquad40.json") == TWISTQUAD40_DIGESTS
     _report(
         5,
         f"{len(params)} certified quadratic-twist params, lam=1 via (2,4) on Y^2=X^3+8, "

@@ -14,6 +14,7 @@ from rankjump.factorization import (
     squarefree_part,
     squarefree_part_of_rational,
 )
+from rankjump.rationals import is_rational_square
 
 
 def test_factorize_small():
@@ -131,3 +132,27 @@ def test_independence_vs_brute_force(values):
         for c in wit:
             prod *= c.squarefree
         assert prod > 0 and isqrt(prod) ** 2 == prod
+
+
+# Factors above 1000 leave cofactors that trial division cannot split.
+_FACTORS = st.sampled_from([1, 2, 3, 5, 6, 7, 1009, 7919, 104729, 1000003])
+
+
+@st.composite
+def _nonzero_rationals(draw):
+    num = draw(st.integers(1, 10**4)) * draw(_FACTORS)
+    den = draw(st.integers(1, 10**4)) * draw(_FACTORS)
+    return draw(st.sampled_from((1, -1))) * Fraction(num, den)
+
+
+@given(_nonzero_rationals(), _nonzero_rationals(), st.booleans())
+@settings(max_examples=300)
+def test_same_square_class_iff_quotient_is_square(u, q, same):
+    # The twist fiber-first walk joins on this: u/w is a square exactly
+    # when u and w have the same signed squarefree part.
+    w = u * q * q if same else q
+    cu, cw = squarefree_part_of_rational(u), squarefree_part_of_rational(w)
+    same_class = cu.squarefree == cw.squarefree
+    assert same_class == (is_rational_square(u / w) is not None)
+    if same:
+        assert same_class

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from oracles import brute_force_twist_fiber_first
 from rankjump import families
 from rankjump.curves import on_curve, point
 from rankjump.errors import (
@@ -13,6 +14,7 @@ from rankjump.errors import (
     NotOnTotalSpace,
     PoleAtPoint,
 )
+from rankjump.factorization import squarefree_part_of_rational
 from rankjump.families import (
     CubicPencil,
     StreamStats,
@@ -31,6 +33,7 @@ from rankjump.families import (
     witness_stream,
 )
 from rankjump.polynomials import depress_cubic, poly, ratfunc
+from rankjump.rationals import iter_rationals
 
 X3_MINUS_X = poly([0, -1, 0, 1])
 X3_PLUS_1 = poly([1, 0, 0, 1])
@@ -226,6 +229,51 @@ def test_candidates_carry_their_fiber(f, mode):
     for w in pts:
         assert w.curve == fiber_at(f, w.param)
         assert on_curve(w.curve, w.witness)
+
+
+X3_PLUS_17 = poly([17, 0, 0, 1])
+X3_PLUS_X_PLUS_1 = poly([1, 1, 0, 1])
+X_MINUS_1_2_3 = poly([-6, 11, -6, 1])
+
+JOIN_EDGE_CASES = [
+    TwistLinear(p=X3_PLUS_17),  # p has no rational root
+    TwistLinear(p=X_MINUS_1_2_3),  # p has three rational roots
+    TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1),  # p has one rational root
+    TwistQuadratic(c=Fraction(1), a=Fraction(4), p=X3_MINUS_X),  # d has rational roots
+    TwistQuadratic(c=Fraction(1), a=Fraction(9, 4), p=X3_PLUS_1),  # ... at height 3
+    TwistQuadratic(c=Fraction(-2), a=Fraction(5), p=X3_PLUS_X_PLUS_1),  # c < 0
+    TwistPoly(d=poly([0, -1, 0, 1]), p=X3_PLUS_1),  # d = t^3 - t: three degenerate params
+    TwistPoly(d=poly([-2, 0, 0, 0, 1]), p=X3_MINUS_X),  # d of degree 4
+    TwistPoly(d=poly([-1, -1, 0, 1]), p=X3_PLUS_17),
+    TwistPoly(d=poly([3, 0, 2]), p=X3_PLUS_X_PLUS_1),
+]
+
+
+@pytest.mark.parametrize("f", JOIN_EDGE_CASES, ids=lambda f: f.family_id)
+def test_twist_fiber_first_matches_double_loop(f):
+    stats = StreamStats()
+    pts = list(f.fiber_first(12, stats))
+    want, degenerate = brute_force_twist_fiber_first(f, 12)
+    assert [(w.param, w.witness) for w in pts] == [
+        (lam, twist_witness(f, lam, x0, y0).witness) for lam, x0, y0 in want
+    ]
+    assert stats.degenerate_skipped == degenerate
+    assert stats.enumerated == len(pts)
+
+
+def test_twist_fiber_first_is_linear_in_the_rationals(monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return squarefree_part_of_rational(q)
+
+    monkeypatch.setattr(families, "squarefree_part_of_rational", counting)
+    f = TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1)
+    pts, stats = witness_stream(f, 10, "fiber-first")
+    n_rats = len(list(iter_rationals(10)))
+    assert pts and 0 < len(calls) <= 2 * n_rats
+    assert stats.enumerated == len(pts)
 
 
 def test_twist_constants_computed_once(monkeypatch):
