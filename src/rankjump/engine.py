@@ -37,7 +37,6 @@ from .families import (
     TotalSpacePoint,
     TwistLinear,
     fiber_at,
-    twist_witness,
     validate_family,
     witness_stream,
 )
@@ -398,7 +397,7 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
 
     Each hit p(x0) = d * s^2 (d squarefree, d not in {0, 1}) is the
     point (x0, s) on the fiber t = d of twist_linear t y^2 = p(x), mapped
-    into Y^2 = X^3 + A d^2 X + B d^3 by `twist_witness`.
+    into Y^2 = X^3 + A d^2 X + B d^3 by the family's `point`.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -422,7 +421,7 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
         d = Fraction(cls.squarefree)
         s = is_rational_square(val / d)
         _require(s is not None, f"p({n}) / {cls.squarefree} is not a square")
-        w = twist_witness(f, d, x0, s)
+        w = f.point(f.fiber(d), d, d, x0, s, val)
         if is_torsion(w.curve, w.witness):
             continue
         ok, _ = square_class_independent(classes + [cls])

@@ -14,14 +14,14 @@ packet of the zero section and is rejected.
 
 Each family kind is one frozen dataclass that answers every fact about
 itself: identifier, declared generic rank, sections, validation findings,
-fiber at a parameter, witness walks and sign regions.  Its JSON fields are
-its dataclass fields.  What depends on the family alone (its identifier, a
-twist's depressed cubic and d(t)) is computed once per family object and
-cached on it; the cache is not a field, so equality, hashing and the JSON
-form ignore it.  Module-level code is what no single kind owns: the JSON
-codec, the maps `twist_witness` and `cubic_witness` from a walk's point
-into its fiber, the `witness_stream` driver, and the public entry points
-`validate_family` and `fiber_at`.
+fiber at a parameter, witness walks, the map `point` from a walk's point
+into its fiber, and sign regions.  Its JSON fields are its dataclass
+fields.  What depends on the family alone (its identifier, a twist's
+depressed cubic and d(t)) is computed once per family object and cached on
+it; the cache is not a field, so equality, hashing and the JSON form
+ignore it.  Module-level code is what no single kind owns: the JSON codec,
+the `witness_stream` driver, and the public entry points `validate_family`
+and `fiber_at`.
 
 A candidate carries its fiber: the walk that finds a witness keeps the
 curve it built at that parameter, and certification runs on that curve
@@ -97,12 +97,12 @@ class StreamStats:
 
     - `enumerated`: the candidates the walk looked at.  The pencil
       fiber-first walk counts every (param, X0) pair it square-tests; the
-      twist total-first walks count every (x0, y0) pair and the cubic walk
+      twist total-first walk counts every (x0, y0) pair and the cubic walk
       every Euler pair.  The twist fiber-first walk counts only the
       (param, x0) pairs its square-class join returns, each a witness, so
       there it equals `emitted`.
     - `degenerate_skipped`: on fiber-first walks, the params whose fiber is
-      degenerate (d(param) = 0 on twists); on the twist total-first walks,
+      degenerate (d(param) = 0 on twists); on the twist total-first walk,
       the (x0, y0) pairs with p(x0) = 0.  Only this counter reaches the
       report.
     - `emitted`: the points the walk yielded, set by `witness_stream`.
@@ -184,14 +184,27 @@ class _Twist(Family):
         return depress_cubic(self.p)
 
     def fiber(self, lam: Fraction) -> Curve:
-        A, B, _ = self.depressed
-        d0 = poly_eval(self.d, lam)
+        return self._fiber(lam, poly_eval(self.d, lam))
+
+    def _fiber(self, lam: Fraction, d0: Fraction) -> Curve:
         if d0 == 0:
             raise DegenerateFiber(f"d({format_rational(lam)}) = 0")
+        A, B, _ = self.depressed
         try:
             return Curve(A * d0 * d0, B * d0**3)
         except SingularCurve as exc:
             raise DegenerateFiber(str(exc)) from exc
+
+    def point(
+        self, C: Curve, lam: Fraction, d0: Fraction, x0: Fraction, y0: Fraction, v: Fraction
+    ) -> TotalSpacePoint:
+        """(x0, y0) at lam read in its fiber C, given d0 = d(lam) and v = p(x0):
+        X = d0 (x0 + s), Y = d0^2 y0.  Raises NotOnTotalSpace unless d0 y0^2 = v."""
+        if d0 * y0 * y0 != v:
+            raise NotOnTotalSpace(
+                f"d({format_rational(lam)})*y0^2 != p(x0) at ({format_rational(x0)}, {format_rational(y0)})"
+            )
+        return TotalSpacePoint(lam, C, Point(d0 * (x0 + self.depressed[2]), d0 * d0 * y0))
 
     def findings(self) -> list[Finding]:
         out: list[Finding] = []
@@ -231,7 +244,6 @@ class _Twist(Family):
         witnesses in the order of a (lam, x0) double loop over the rationals.
         """
         rats = list(iter_rationals(bound))
-        d = self.d
         roots: list[tuple[int, Fraction, Fraction]] = []
         buckets: dict[int, list[tuple[int, Fraction, Fraction]]] = {}
         for i, x0 in enumerate(rats):
@@ -245,32 +257,31 @@ class _Twist(Family):
             xs += roots
             xs.sort()
         for lam in rats:
-            d0 = poly_eval(d, lam)
+            d0 = poly_eval(self.d, lam)
             if d0 == 0:
                 stats.degenerate_skipped += 1
                 continue
+            C = self._fiber(lam, d0)
             for _, x0, v in buckets.get(squarefree_part_of_rational(d0).squarefree, roots):
                 stats.enumerated += 1
-                yield twist_witness(self, lam, x0, is_rational_square(v / d0))
+                yield self.point(C, lam, d0, x0, is_rational_square(v / d0), v)
 
-    def _xy_walk(
-        self, bound: int, stats: StreamStats
-    ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-        """(x0, p(x0), y0) over rationals x0 and y0 > 0 with p(x0) != 0.
-
-        A parameter and x0 fix y0^2, so walking y0 > 0 emits each point once,
-        as fiber-first does with one witness per (param, x0).
-        """
+    def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
+        """Rationals x0 and y0 > 0 with p(x0) != 0, read in the fiber at each
+        rational t the kind's `_params` solves from d(t) = d0 = p(x0)/y0^2.
+        A param and x0 fix y0^2, so walking y0 > 0 emits each point once."""
         rats = list(iter_rationals(bound))
         ys = [y0 for y0 in rats if y0 > 0]
         for x0 in rats:
-            px = poly_eval(self.p, x0)
+            v = poly_eval(self.p, x0)
             for y0 in ys:
                 stats.enumerated += 1
-                if px == 0:
+                if v == 0:
                     stats.degenerate_skipped += 1
                     continue
-                yield x0, px, y0
+                d0 = v / (y0 * y0)
+                for t in self._params(d0):
+                    yield self.point(self._fiber(t, d0), t, d0, x0, y0, v)
 
 
 @dataclass(frozen=True)
@@ -286,9 +297,9 @@ class TwistLinear(_Twist):
     def family_id(self) -> str:
         return f"twist_linear[p={poly_text(self.p)}]"
 
-    def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
-        for x0, px, y0 in self._xy_walk(bound, stats):
-            yield twist_witness(self, px / (y0 * y0), x0, y0)
+    @staticmethod
+    def _params(d0: Fraction) -> tuple[Fraction, ...]:
+        return (d0,)
 
 
 @dataclass(frozen=True)
@@ -339,13 +350,10 @@ class TwistQuadratic(_Twist):
             )
         return out
 
-    def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
-        # solve c(t0^2 - a) y0^2 = p(x0); t0 = s and -s are one point when s = 0
-        for x0, px, y0 in self._xy_walk(bound, stats):
-            s = is_rational_square(px / (self.c * y0 * y0) + self.a)
-            if s is not None:
-                for t0 in (s, -s) if s != 0 else (s,):
-                    yield twist_witness(self, t0, x0, y0)
+    def _params(self, d0: Fraction) -> tuple[Fraction, ...]:
+        # c(t^2 - a) = d0; t = s and -s are one point when s = 0
+        s = is_rational_square(d0 / self.c + self.a)
+        return () if s is None else (s, -s) if s != 0 else (s,)
 
 
 @dataclass(frozen=True)
@@ -360,6 +368,8 @@ class TwistPoly(_Twist):
     @cached_property
     def family_id(self) -> str:
         return f"twist_poly[d={poly_text(self.d, 't')},p={poly_text(self.p)}]"
+
+    total_first = Family.total_first  # d(t) = d0 has no general solver: walk fiber-first
 
     def _d_findings(self) -> list[Finding]:
         if degree(self.d) < 1:
@@ -383,10 +393,24 @@ class CubicPencil(Family):
             raise DegenerateFiber("lam^3 + 1 = 0")
         return Curve(Fraction(0), -432 * c * c)
 
+    @classmethod
+    def point(cls, lam: Fraction, x: Fraction, y: Fraction) -> TotalSpacePoint:
+        """Map (x, y) with x^3 + y^3 = -(lam^3+1) into the standardized fiber."""
+        lam, x, y = Fraction(lam), Fraction(x), Fraction(y)
+        C = cls.fiber(lam)  # raises DegenerateFiber
+        c = -(lam**3 + 1)
+        if x + y == 0:
+            raise LineAtInfinity("x + y = 0 maps to the zero section's 3-torsion packet")
+        if x**3 + y**3 != c:
+            raise NotOnTotalSpace(
+                f"x^3 + y^3 != -(lam^3+1) at ({format_rational(x)}, {format_rational(y)})"
+            )
+        return TotalSpacePoint(lam, C, Point(12 * c / (x + y), 36 * c * (x - y) / (x + y)))
+
     def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
         for a, b in _euler_pairs(bound):
             stats.enumerated += 1
-            yield cubic_witness(*euler_parametrize(a, b))
+            yield self.point(*euler_parametrize(a, b))
 
 
 @dataclass(frozen=True)
@@ -447,34 +471,6 @@ def validate_family(f: Family) -> list[Finding]:
 def fiber_at(f: Family, lam: Fraction) -> Curve:
     """The standardized fiber at a parameter; raises DegenerateFiber."""
     return f.fiber(Fraction(lam))
-
-
-def twist_witness(f: Family, lam: Fraction, x0: Fraction, y0: Fraction) -> TotalSpacePoint:
-    """Map a total-space point of a twist family into its standardized fiber."""
-    lam, x0, y0 = Fraction(lam), Fraction(x0), Fraction(y0)
-    d0 = poly_eval(f.d, lam)
-    if d0 * y0 * y0 != poly_eval(f.p, x0):
-        raise NotOnTotalSpace(
-            f"d({format_rational(lam)})*y0^2 != p(x0) at ({format_rational(x0)}, {format_rational(y0)})"
-        )
-    C = f.fiber(lam)  # raises DegenerateFiber
-    s = f.depressed[2]
-    return TotalSpacePoint(param=lam, curve=C, witness=Point(d0 * (x0 + s), d0 * d0 * y0))
-
-
-def cubic_witness(lam: Fraction, x: Fraction, y: Fraction) -> TotalSpacePoint:
-    """Map (x, y) with x^3 + y^3 = -(lam^3+1) into the standardized fiber."""
-    lam, x, y = Fraction(lam), Fraction(x), Fraction(y)
-    C = CubicPencil.fiber(lam)  # raises DegenerateFiber
-    c = -(lam**3 + 1)
-    if x + y == 0:
-        raise LineAtInfinity("x + y = 0 maps to the zero section's 3-torsion packet")
-    if x**3 + y**3 != c:
-        raise NotOnTotalSpace(
-            f"x^3 + y^3 != -(lam^3+1) at ({format_rational(x)}, {format_rational(y)})"
-        )
-    W = Point(12 * c / (x + y), 36 * c * (x - y) / (x + y))
-    return TotalSpacePoint(param=lam, curve=C, witness=W)
 
 
 # Verified once by symbolic expansion (and re-verified per call in tests):

@@ -128,6 +128,9 @@ def format_poly(p: Poly) -> list[str]:
 
 
 def parse_poly(items: Sequence[Union[str, int]]) -> Poly:
+    """Ascending coefficients; a string is rejected, not read per character."""
+    if not isinstance(items, (list, tuple)):
+        raise ValueError(f"a polynomial must be an array of coefficients, got {items!r}")
     return poly(parse_rational(str(c)) for c in items)
 
 

@@ -78,6 +78,28 @@ def brute_force_subset_square(values: list[int]):
     return None
 
 
+def _rationals(bound: int) -> list[Fraction]:
+    """Rationals of height <= bound, by ascending height, then value."""
+    return sorted(
+        {Fraction(u, v) for v in range(1, bound + 1) for u in range(-bound, bound + 1)},
+        key=lambda q: (max(abs(q.numerator), q.denominator), q),
+    )
+
+
+def _ev(coeffs, x):
+    return sum(Fraction(c) * x**i for i, c in enumerate(coeffs))
+
+
+def _rational_sqrt(q: Fraction):
+    """The root r >= 0 with r^2 = q, by isqrt on the reduced numerator and
+    denominator, or None."""
+    rn = perfect_square_root(q.numerator)
+    rd = isqrt(q.denominator)
+    if rn is None or rd * rd != q.denominator:
+        return None
+    return Fraction(rn, rd)
+
+
 def brute_force_twist_fiber_first(f, bound: int):
     """The twist fiber-first walk as a plain double loop over (lam, x0).
 
@@ -85,29 +107,58 @@ def brute_force_twist_fiber_first(f, bound: int):
     for being a square by isqrt on its reduced numerator and denominator.
     Returns ([(lam, x0, y0) with y0 >= 0], number of lam with d(lam) = 0).
     """
-    rats = sorted(
-        {Fraction(u, v) for v in range(1, bound + 1) for u in range(-bound, bound + 1)},
-        key=lambda q: (max(abs(q.numerator), q.denominator), q),
-    )
-
-    def ev(coeffs, x):
-        return sum(Fraction(c) * x**i for i, c in enumerate(coeffs))
-
-    px = [(x0, ev(f.p, x0)) for x0 in rats]
+    rats = _rationals(bound)
+    px = [(x0, _ev(f.p, x0)) for x0 in rats]
     out = []
     degenerate = 0
     for lam in rats:
-        d0 = ev(f.d, lam)
+        d0 = _ev(f.d, lam)
         if d0 == 0:
             degenerate += 1
             continue
         for x0, v in px:
-            q = v / d0
-            rn = perfect_square_root(q.numerator)
-            rd = isqrt(q.denominator)
-            if rn is not None and rd * rd == q.denominator:
-                out.append((lam, x0, Fraction(rn, rd)))
+            y0 = _rational_sqrt(v / d0)
+            if y0 is not None:
+                out.append((lam, x0, y0))
     return out, degenerate
+
+
+def brute_force_twist_total_first(f, bound: int):
+    """The total-first walk of a linear or quadratic twist d(t) y^2 = p(x)
+    as a plain double loop over (x0, y0 > 0).
+
+    Each pair with p(x0) != 0 fixes d0 = p(x0)/y0^2; the params t with
+    d(t) = d0 are t = d0 on twist_linear, and t = +-sqrt(d0/c + a) on
+    twist_quadratic (d(t) = c(t^2 - a)), +s before -s and once when s = 0.
+    Returns ([(t, x0, y0)], pairs walked, pairs with p(x0) = 0).
+    """
+    rats = _rationals(bound)
+    out = []
+    walked = degenerate = 0
+    for x0 in rats:
+        v = _ev(f.p, x0)
+        for y0 in (y for y in rats if y > 0):
+            walked += 1
+            if v == 0:
+                degenerate += 1
+                continue
+            d0 = v / (y0 * y0)
+            if f.kind == "twist_linear":
+                ts = [d0]
+            else:
+                s = _rational_sqrt(d0 / Fraction(f.c) + Fraction(f.a))
+                ts = [] if s is None else [s] if s == 0 else [s, -s]
+            out += [(t, x0, y0) for t in ts]
+    return out, walked, degenerate
+
+
+def twist_point(f, lam, x0, y0):
+    """(X, Y) = (d0 (x0 + a2/3), d0^2 y0) with d0 = d(lam): the point
+    (x0, y0) of d0 y^2 = p(x) on Y^2 = X^3 + A d0^2 X + B d0^3, where a2 is
+    the x^2 coefficient of the monic cubic p and p(x - a2/3) = x^3 + Ax + B.
+    """
+    d0 = _ev(f.d, lam)
+    return d0 * (x0 + Fraction(f.p[2]) / 3), d0 * d0 * y0
 
 
 def perfect_square_root(n: int):

@@ -29,7 +29,7 @@ from rankjump.curves import (
     is_torsion,
 )
 from rankjump.engine import billing_build, certify_fiber, neron_check
-from rankjump.families import TwistLinear, WeierstrassPencil, twist_witness, witness_stream
+from rankjump.families import TwistLinear, WeierstrassPencil, witness_stream
 from rankjump.heights import canonical_height, gram_certify
 from rankjump.polynomials import poly, ratfunc
 
@@ -286,6 +286,35 @@ def test_criterion_5_twist_quadratic(workdir):
     )
 
 
+# The twist total-first walks: family file -> (bound, digests).
+TWIST_TOTAL_FIRST_DIGESTS = {
+    "twistlin.json": (
+        6,
+        {
+            "": "25be17c3646c728e86d4ae7217f7bf3c2b0b2c3ee1873e75427c66359ebb5053",
+            ".density.json": "10357724fb77c5dd92b09105816b9a98f999d5e6846b30e43297474fc114650d",
+            ".histogram.csv": "dfc0edc347d13a0ef7f600a2efd288869cc7befbf972c7f44a1d7090a7f510e6",
+        },
+    ),
+    "twistquad.json": (
+        8,
+        {
+            "": "e27cc04d0fffa2cffda1dbb2938de3f708da4f1416bfef09456b7d8a9d577f4f",
+            ".density.json": "d41ee512532d909bf53c8be3e20823f7d4800dad25aac0ea69f358891332b85f",
+            ".histogram.csv": "4670a66a341229210aec42389c72d7ce66a774a55c848081a540fb071b2a519a",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("family_file", sorted(TWIST_TOTAL_FIRST_DIGESTS))
+def test_twist_total_first_bytes(workdir, family_file):
+    bound, want = TWIST_TOTAL_FIRST_DIGESTS[family_file]
+    out_name = f"total_first_{family_file}"
+    _run_scan(workdir, family_file, bound, "total-first", out_name)
+    assert _digests(workdir / out_name) == want
+
+
 def test_criterion_6_billing(workdir):
     t0 = time.monotonic()
     out = str(workdir / "billing.json")
@@ -337,7 +366,8 @@ def test_criterion_7_negative_controls():
     f = TwistLinear(p=X3_MINUS_X)
     torsion_cases = 0
     for t0_param in (2, 3, 5, 7, 10, -2, -3, -5, -7, -10):
-        w = twist_witness(f, Fraction(t0_param), Fraction(1), Fraction(0))
+        t = Fraction(t0_param)
+        w = f.point(f.fiber(t), t, t, Fraction(1), Fraction(0), Fraction(0))  # p(1) = 0
         cert = certify_fiber(f, w)
         assert cert.status == "torsion-witness" and not cert.jump
         torsion_cases += 1

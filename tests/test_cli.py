@@ -44,6 +44,24 @@ def test_validate_unknown_field(tmp_path):
     assert main(["validate", path]) == 2
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        {"kind": "twist_linear", "p": "1001"},
+        {**PENCIL, "A": {"num": "17"}},
+    ],
+    ids=["twist-p", "pencil-num"],
+)
+def test_polynomial_must_be_an_array(tmp_path, capsys, family):
+    # a string is not read one character per coefficient
+    fam = _write(tmp_path, "f.json", family)
+    assert main(["validate", fam]) == 2
+    assert "array" in capsys.readouterr().out
+    out = str(tmp_path / "scan.csv")
+    assert main(["scan", "--family", fam, "--bound", "2", "--out", out]) == 2
+    assert not Path(out).exists()
+
+
 def test_scan_csv_and_density(tmp_path, capsys):
     fam = _write(tmp_path, "f.json", TWIST_LINEAR)
     out = str(tmp_path / "scan.csv")

@@ -21,9 +21,7 @@ from rankjump.families import (
     TwistPoly,
     TwistQuadratic,
     WeierstrassPencil,
-    cubic_witness,
     fiber_at,
-    twist_witness,
     witness_stream,
 )
 from rankjump.heights import canonical_height, gram_certify, height_pairing
@@ -42,7 +40,8 @@ PENCIL = WeierstrassPencil(
 def _tol_calls():
     C, P, Q = curve(-36, 0), point(-3, 9), point(12, 36)
     f = TwistLinear(p=X3_MINUS_X)
-    w = twist_witness(f, Fraction(6), Fraction(2), Fraction(1))
+    t = Fraction(6)  # p(2) = 6 = d(6) * 1^2
+    w = f.point(f.fiber(t), t, t, Fraction(2), Fraction(1), Fraction(6))
     return [
         lambda t: scan(CubicPencil(), 1, "fiber-first", tol=t),  # empty stream
         lambda t: scan(f, 8, tol=t),
@@ -69,7 +68,8 @@ def test_bad_tol_raises_value_error(monkeypatch, tol):
 
 def test_certify_fiber_twist_linear():
     f = TwistLinear(p=X3_MINUS_X)
-    w = twist_witness(f, Fraction(6), Fraction(2), Fraction(1))
+    t = Fraction(6)  # p(2) = 6 = d(6) * 1^2
+    w = f.point(f.fiber(t), t, t, Fraction(2), Fraction(1), Fraction(6))
     cert = certify_fiber(f, w)
     assert cert.certified_rank_lb == 1
     assert cert.jump and cert.status == "certified"
@@ -79,7 +79,7 @@ def test_certify_fiber_twist_linear():
 
 
 def test_certify_fiber_cubic():
-    w = cubic_witness(Fraction(-5, 6), Fraction(-1, 2), Fraction(-2, 3))
+    w = CubicPencil.point(Fraction(-5, 6), Fraction(-1, 2), Fraction(-2, 3))
     cert = certify_fiber(CubicPencil(), w)
     assert cert.jump == cert.gram.certified
     assert cert.certified_rank_lb >= 1
@@ -88,7 +88,8 @@ def test_certify_fiber_cubic():
 def test_certify_fiber_torsion_witness():
     f = TwistLinear(p=X3_MINUS_X)
     # p(1) = 0, so (t0=anything, x0=1, y0=0) is a 2-torsion witness
-    w = twist_witness(f, Fraction(5), Fraction(1), Fraction(0))
+    t = Fraction(5)
+    w = f.point(f.fiber(t), t, t, Fraction(1), Fraction(0), Fraction(0))
     cert = certify_fiber(f, w)
     assert cert.status == "torsion-witness"
     assert not cert.jump

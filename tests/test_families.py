@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from oracles import brute_force_twist_fiber_first
+from oracles import brute_force_twist_fiber_first, brute_force_twist_total_first, twist_point
 from rankjump import families
 from rankjump.curves import on_curve, point
 from rankjump.errors import (
@@ -23,16 +23,14 @@ from rankjump.families import (
     TwistQuadratic,
     WeierstrassPencil,
     _euler_pairs,
-    cubic_witness,
     euler_parametrize,
     family_from_json,
     family_to_json,
     fiber_at,
-    twist_witness,
     validate_family,
     witness_stream,
 )
-from rankjump.polynomials import depress_cubic, poly, ratfunc
+from rankjump.polynomials import depress_cubic, poly, poly_eval, ratfunc
 from rankjump.rationals import iter_rationals
 
 X3_MINUS_X = poly([0, -1, 0, 1])
@@ -91,18 +89,22 @@ def test_fiber_examples():
         fiber_at(CubicPencil(), Fraction(-1))
 
 
+def _twist_point(f, lam, x0, y0):
+    """f.point at (lam, x0, y0), with the fiber, d(lam) and p(x0) it takes."""
+    lam, x0, y0 = Fraction(lam), Fraction(x0), Fraction(y0)
+    return f.point(f.fiber(lam), lam, poly_eval(f.d, lam), x0, y0, poly_eval(f.p, x0))
+
+
 def test_twist_witness_examples():
-    w = twist_witness(TwistLinear(p=X3_MINUS_X), Fraction(6), Fraction(2), Fraction(1))
+    w = _twist_point(TwistLinear(p=X3_MINUS_X), 6, 2, 1)
     assert w.witness == point(12, 36)
-    w = twist_witness(
-        TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1),
-        Fraction(1),
-        Fraction(1),
-        Fraction(1),
-    )
+    w = _twist_point(TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1), 1, 1, 1)
     assert w.witness == point(2, 4)
     with pytest.raises(NotOnTotalSpace):
-        twist_witness(TwistLinear(p=X3_MINUS_X), Fraction(6), Fraction(2), Fraction(2))
+        _twist_point(TwistLinear(p=X3_MINUS_X), 6, 2, 2)
+    # (1, 0) lies on every fiber's total space, but the fiber at t = 0 is degenerate
+    with pytest.raises(DegenerateFiber):
+        _twist_point(TwistLinear(p=X3_MINUS_X), 0, 1, 0)
 
 
 def test_twist_witness_depression_shift():
@@ -111,20 +113,22 @@ def test_twist_witness_depression_shift():
     f = TwistLinear(p=p)
     x0, y0 = Fraction(1), Fraction(1)
     t0 = Fraction(6)  # p(1) = 6
-    w = twist_witness(f, t0, x0, y0)
+    w = _twist_point(f, t0, x0, y0)
     assert on_curve(fiber_at(f, t0), w.witness)
     assert w.witness.x == t0 * (x0 + 1)  # shift = a2/3 = 1
 
 
 def test_cubic_witness_examples():
-    w = cubic_witness(Fraction(-5, 6), Fraction(-1, 2), Fraction(-2, 3))
+    w = CubicPencil.point(Fraction(-5, 6), Fraction(-1, 2), Fraction(-2, 3))
     assert w.witness == point(Fraction(13, 3), Fraction(13, 6))
-    w = cubic_witness(Fraction(3, 4), Fraction(5, 4), Fraction(-3, 2))
+    w = CubicPencil.point(Fraction(3, 4), Fraction(5, 4), Fraction(-3, 2))
     assert on_curve(fiber_at(CubicPencil(), Fraction(3, 4)), w.witness)
     with pytest.raises(LineAtInfinity):
-        cubic_witness(Fraction(2), Fraction(3), Fraction(-3))
+        CubicPencil.point(Fraction(2), Fraction(3), Fraction(-3))
     with pytest.raises(NotOnTotalSpace):
-        cubic_witness(Fraction(2), Fraction(1), Fraction(1))
+        CubicPencil.point(Fraction(2), Fraction(1), Fraction(1))
+    with pytest.raises(DegenerateFiber):
+        CubicPencil.point(-1, 1, -1)  # ints are coerced; lam^3 + 1 = 0
 
 
 def test_euler_examples():
@@ -141,7 +145,7 @@ def test_euler_hits_total_space():
                 continue
             lam, x, y = euler_parametrize(a, b)
             assert x**3 + y**3 == -(lam**3 + 1)
-            w = cubic_witness(lam, x, y)  # raises off a smooth affine fiber
+            w = CubicPencil.point(lam, x, y)  # raises off a smooth affine fiber
             assert on_curve(w.curve, w.witness)
 
 
@@ -254,11 +258,26 @@ def test_twist_fiber_first_matches_double_loop(f):
     stats = StreamStats()
     pts = list(f.fiber_first(12, stats))
     want, degenerate = brute_force_twist_fiber_first(f, 12)
-    assert [(w.param, w.witness) for w in pts] == [
-        (lam, twist_witness(f, lam, x0, y0).witness) for lam, x0, y0 in want
+    assert [(w.param, (w.witness.x, w.witness.y)) for w in pts] == [
+        (lam, twist_point(f, lam, x0, y0)) for lam, x0, y0 in want
     ]
     assert stats.degenerate_skipped == degenerate
     assert stats.enumerated == len(pts)
+
+
+@pytest.mark.parametrize(
+    "f", [f for f in JOIN_EDGE_CASES if f.kind != "twist_poly"], ids=lambda f: f.family_id
+)
+def test_twist_total_first_matches_double_loop(f):
+    stats = StreamStats()
+    pts = list(f.total_first(12, stats))
+    want, walked, degenerate = brute_force_twist_total_first(f, 12)
+    assert [(w.param, (w.witness.x, w.witness.y)) for w in pts] == [
+        (t, twist_point(f, t, x0, y0)) for t, x0, y0 in want
+    ]
+    assert (stats.enumerated, stats.degenerate_skipped) == (walked, degenerate)
+    for w in pts:
+        assert w.curve == fiber_at(f, w.param)
 
 
 def test_twist_fiber_first_is_linear_in_the_rationals(monkeypatch):
@@ -274,6 +293,34 @@ def test_twist_fiber_first_is_linear_in_the_rationals(monkeypatch):
     n_rats = len(list(iter_rationals(10)))
     assert pts and 0 < len(calls) <= 2 * n_rats
     assert stats.enumerated == len(pts)
+
+
+@pytest.mark.parametrize("mode", ["fiber-first", "total-first"])
+def test_twist_walks_reuse_what_they_hold(monkeypatch, mode):
+    evals, curves = [], []
+    real_eval, real_curve = families.poly_eval, families.Curve
+
+    def counting_eval(p, x):
+        evals.append(x)
+        return real_eval(p, x)
+
+    def counting_curve(A, B):
+        curves.append((A, B))
+        return real_curve(A, B)
+
+    monkeypatch.setattr(families, "poly_eval", counting_eval)
+    monkeypatch.setattr(families, "Curve", counting_curve)
+    f = TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1)
+    pts, stats = witness_stream(f, 10, mode)
+    n_rats = len(list(iter_rationals(10)))
+    assert pts and n_rats == 127
+    if mode == "fiber-first":
+        # p(x0) once per x0, d(lam) once per lam, one fiber per lam
+        assert len(evals) <= 2 * n_rats
+        assert len(curves) <= n_rats - stats.degenerate_skipped
+    else:
+        # p(x0) once per x0; d is never evaluated, as d(t) = p(x0)/y0^2
+        assert len(evals) == n_rats
 
 
 def test_twist_constants_computed_once(monkeypatch):
