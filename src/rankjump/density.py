@@ -143,17 +143,9 @@ class Region:
         }
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    regions: tuple[Region, ...]
-
-    def to_json(self) -> dict:
-        return {"regions": [r.to_json() for r in self.regions]}
-
-
 def component_report(
     f: Family, params: Sequence[Fraction], hist: Histogram
-) -> Optional[ComponentReport]:
+) -> Optional[tuple[Region, ...]]:
     """Report which of the family's sign regions (`Family.sign_regions`)
     the certified parameters reach; None for a kind without them.
 
@@ -172,7 +164,7 @@ def component_report(
         inner = [n for i, n in enumerate(hist.counts) if inside(e[i]) and inside(e[i + 1])]
         cov = Fraction(sum(1 for n in inner if n), len(inner)) if inner else None
         out.append(Region(name=name, d_sign=sign, count=count, hit=count > 0, bin_coverage=cov))
-    return ComponentReport(regions=tuple(out))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -180,14 +172,16 @@ class DensityReport:
     distinct_params: int
     histogram: Histogram
     padic: tuple[PadicCoverage, ...]
-    component: Optional[ComponentReport]
+    component: Optional[tuple[Region, ...]]
 
     def to_json(self) -> dict:
         return {
             "distinct_params": self.distinct_params,
             "real_histogram": self.histogram.to_json(),
             "padic": [c.to_json() for c in self.padic],
-            "component": None if self.component is None else self.component.to_json(),
+            "component": None
+            if self.component is None
+            else {"regions": [r.to_json() for r in self.component]},
         }
 
 

@@ -27,8 +27,8 @@ from .errors import (
     SearchExhausted,
 )
 from .factorization import (
-    SquareClass,
     class_vectors,
+    factorize,
     square_class_independent,
     squarefree_part_of_rational,
 )
@@ -212,11 +212,7 @@ def scan(
         import multiprocessing as mp
 
         with mp.Pool(jobs) as pool:
-            results = pool.map(
-                _certify_candidate,
-                [(f, w, tol_d) for w in points],
-                chunksize=max(1, len(points) // (4 * jobs)),
-            )
+            results = pool.map(_certify_candidate, [(f, w, tol_d) for w in points])
     else:
         results = [_certify_candidate((f, w, tol_d)) for w in points]
 
@@ -348,18 +344,26 @@ class BillingCertificate:
 
     curve: Curve
     r: int
-    classes: tuple[SquareClass, ...]
+    classes: tuple[int, ...]
     witnesses: tuple[BillingWitness, ...]
-    independence_proof: dict
     rank_bound: int
 
     def to_json(self) -> dict:
+        _, basis = class_vectors(self.classes)
+        proof = {
+            "prime_basis": basis,
+            "vectors": [
+                {"class": c, "sign": int(c < 0), "odd_primes": list(factorize(abs(c)))}
+                for c in self.classes
+            ],
+            "f2_rank": len(self.classes),
+        }
         return {
             "curve": {"A": format_rational(self.curve.A), "B": format_rational(self.curve.B)},
             "r": self.r,
-            "classes": [c.squarefree for c in self.classes],
+            "classes": list(self.classes),
             "witnesses": [w.to_json() for w in self.witnesses],
-            "independence_proof": self.independence_proof,
+            "independence_proof": proof,
             "rank_bound": self.rank_bound,
             "field_degree": 2**self.r,
         }
@@ -370,10 +374,10 @@ class BillingCertificate:
             len(self.classes) == len(self.witnesses) == self.r == self.rank_bound,
             "class, witness, r and rank_bound counts disagree",
         )
-        _require(square_class_independent(self.classes)[0], "classes are not independent")
+        _require(square_class_independent(self.classes), "classes are not independent")
         A, B = self.curve.A, self.curve.B
         for cls, wit in zip(self.classes, self.witnesses):
-            d = Fraction(cls.squarefree)
+            d = Fraction(cls)
             _require(
                 wit.twist_curve.A == A * d * d and wit.twist_curve.B == B * d**3,
                 "twist curve does not match its class",
@@ -408,7 +412,7 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     base = Curve(*f.depressed[:2])
-    classes: list[SquareClass] = []
+    classes: list[int] = []
     witnesses: list[BillingWitness] = []
     for n in range(1, bound + 1):
         x0 = Fraction(n)
@@ -416,16 +420,15 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
         if val == 0:
             continue
         cls = squarefree_part_of_rational(val)
-        if cls.squarefree == 1:
+        if cls == 1:
             continue
-        d = Fraction(cls.squarefree)
+        d = Fraction(cls)
         s = is_rational_square(val / d)
-        _require(s is not None, f"p({n}) / {cls.squarefree} is not a square")
+        _require(s is not None, f"p({n}) / {cls} is not a square")
         w = f.point(f.fiber(d), d, d, x0, s, val)
         if is_torsion(w.curve, w.witness):
             continue
-        ok, _ = square_class_independent(classes + [cls])
-        if not ok:
+        if not square_class_independent(classes + [cls]):
             continue
         classes.append(cls)
         witnesses.append(BillingWitness(x0=x0, s=s, point=w.witness, twist_curve=w.curve))
@@ -435,21 +438,11 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
         raise SearchExhausted(
             f"found {len(classes)} of {r} independent twist classes with x0 <= {bound}"
         )
-    _, basis = class_vectors(classes)
-    proof = {
-        "prime_basis": basis,
-        "vectors": [
-            {"class": c.squarefree, "sign": int(c.negative), "odd_primes": list(c.primes)}
-            for c in classes
-        ],
-        "f2_rank": len(classes),
-    }
     cert = BillingCertificate(
         curve=base,
         r=r,
         classes=tuple(classes),
         witnesses=tuple(witnesses),
-        independence_proof=proof,
         rank_bound=r,
     )
     cert.revalidate()

@@ -1,9 +1,12 @@
 """Integer factorization sized for this package's scans, squarefree parts,
 and F2 linear algebra on square classes.
 
+A class of Q*/(Q*)^2 is named by its signed squarefree integer s: the
+sign is its F2 sign bit and the primes of |s| are its other bits.
+
 Trial division runs over the primes below 1000; anything left is split
 with Brent's variant of Pollard rho after a deterministic Miller-Rabin
-test.  Measured traffic: 42,378 factorizations over the twist_quadratic
+test.  Measured traffic: 42,395 factorizations over the twist_quadratic
 bound 40 fiber-first, twist_linear bound 8 total-first and pencil bound 8
 fiber-first scans of perfbench's 13 instances, the cubic pencil at bound
 12 and `billing` of x^3 - x at rank 3, bound 10.  The largest input had
@@ -15,10 +18,9 @@ factorizations per twist_quadratic scan.  No other input did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import UnitClass, ZeroInput
 
@@ -109,82 +111,57 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-@dataclass(frozen=True)
-class SquareClass:
-    """An element of Q*/(Q*)^2: a squarefree integer with its prime support.
+def squarefree_part(n: int) -> int:
+    """The squarefree s with n = s * m^2; sign of s equals sign of n.
 
-    `squarefree` carries the sign of the original number; -1 is a legal
-    class (negative=True, no primes).
+    s names the class of n in Q*/(Q*)^2: -1 is a class, 1 the unit class.
     """
-
-    squarefree: int
-    primes: tuple[int, ...]
-    negative: bool
-
-    def __post_init__(self) -> None:
-        prod = -1 if self.negative else 1
-        for p in self.primes:
-            prod *= p
-        if prod != self.squarefree:
-            raise ValueError("inconsistent square class")
-
-
-def squarefree_part(n: int) -> SquareClass:
-    """The squarefree s with n = s * m^2; sign of s equals sign of n."""
     if n == 0:
         raise ZeroInput("squarefree_part(0)")
-    negative = n < 0
-    primes = tuple(p for p, e in factorize(abs(n)).items() if e % 2 == 1)
-    s = -1 if negative else 1
-    for p in primes:
-        s *= p
-    return SquareClass(squarefree=s, primes=primes, negative=negative)
+    s = -1 if n < 0 else 1
+    for p, e in factorize(abs(n)).items():
+        if e % 2 == 1:
+            s *= p
+    return s
 
 
-def squarefree_part_of_rational(q: Fraction) -> SquareClass:
+def squarefree_part_of_rational(q: Fraction) -> int:
     """Square class of a nonzero rational: the class of num*den."""
     if q == 0:
         raise ZeroInput("squarefree_part_of_rational(0)")
     return squarefree_part(q.numerator * q.denominator)
 
 
-def class_vectors(classes: Sequence[SquareClass]) -> tuple[list[int], list[int]]:
-    """F2 exponent vectors as bitmasks (bit 0 = sign, one bit per prime).
+def class_vectors(classes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """F2 exponent vectors of signed squarefree classes as bitmasks: bit 0
+    is the sign, and each prime of |c| has one bit.
 
     Returns (vectors, prime_basis) with the basis sorted ascending.
     """
-    basis = sorted({p for c in classes for p in c.primes})
+    primes = [tuple(factorize(abs(c))) for c in classes]
+    basis = sorted({p for ps in primes for p in ps})
     index = {p: i + 1 for i, p in enumerate(basis)}
     vecs = []
-    for c in classes:
-        v = 1 if c.negative else 0
-        for p in c.primes:
+    for c, ps in zip(classes, primes):
+        v = 1 if c < 0 else 0
+        for p in ps:
             v |= 1 << index[p]
         vecs.append(v)
     return vecs, basis
 
 
-def square_class_independent(
-    classes: Sequence[SquareClass],
-) -> tuple[bool, Optional[tuple[SquareClass, ...]]]:
-    """Linear independence of square classes over F2.
-
-    Returns (True, None) when independent; otherwise (False, subset) for a
-    nonempty subset of the input whose product is a rational square.
+def square_class_independent(classes: Sequence[int]) -> bool:
+    """Linear independence over F2 of squarefree classes: no nonempty
+    subset has a rational square as its product.  Class 1 raises UnitClass.
     """
-    for c in classes:
-        if c.squarefree == 1:
-            raise UnitClass("class 1 is not allowed")
+    if 1 in classes:
+        raise UnitClass("class 1 is not allowed")
     vecs, _ = class_vectors(classes)
-    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (vector, combination bitmask)
-    for i, v in enumerate(vecs):
-        combo = 1 << i
+    pivots: dict[int, int] = {}  # top bit -> reduced vector
+    for v in vecs:
         while v.bit_length() in pivots:
-            pv, pc = pivots[v.bit_length()]
-            v ^= pv
-            combo ^= pc
+            v ^= pivots[v.bit_length()]
         if v == 0:
-            subset = tuple(classes[j] for j in range(len(classes)) if combo >> j & 1)
-            return False, subset
-        pivots[v.bit_length()] = (v, combo)
-    return True, None
+            return False
+        pivots[v.bit_length()] = v
+    return True

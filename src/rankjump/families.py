@@ -251,7 +251,7 @@ class _Twist(Family):
             if v == 0:
                 roots.append((i, x0, v))
             else:
-                cls = squarefree_part_of_rational(v).squarefree
+                cls = squarefree_part_of_rational(v)
                 buckets.setdefault(cls, []).append((i, x0, v))
         for xs in buckets.values():
             xs += roots
@@ -262,7 +262,7 @@ class _Twist(Family):
                 stats.degenerate_skipped += 1
                 continue
             C = self._fiber(lam, d0)
-            for _, x0, v in buckets.get(squarefree_part_of_rational(d0).squarefree, roots):
+            for _, x0, v in buckets.get(squarefree_part_of_rational(d0), roots):
                 stats.enumerated += 1
                 yield self.point(C, lam, d0, x0, is_rational_square(v / d0), v)
 

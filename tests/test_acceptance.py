@@ -6,6 +6,7 @@ floors on finite scans, not theorems.
 """
 
 import hashlib
+import importlib.util
 import json
 import random
 import time
@@ -331,6 +332,28 @@ def test_criterion_6_billing(workdir):
     _report(6, f"classes (6, 15, 30) with pinned witnesses, revalidated, {elapsed:.1f}s")
 
 
+# sha256 of the `billing --out` JSON: classes with several primes, the class
+# -1 (sign bit, no primes) and the class -6 (sign bit and primes).
+BILLING_DIGESTS = {
+    ("--p", "0,-1,0,1", "--rank", "3", "--bound", "10"): (
+        "9fb698d89182c2947d247ce539585bd4bf9fc580eb425745a340e0a2f343d196"
+    ),
+    ("--p=-2,0,0,1", "--rank", "2", "--bound", "10"): (
+        "385c9d5de2014b24fbdc5ed5528364eb83646385992d24f8d794bca9d6ac3968"
+    ),
+    ("--p=-7,0,0,1", "--rank", "3", "--bound", "12"): (
+        "ac96b0174b62d6197ad65478c4b85fa4e0e5d86b3596782d3e87197194b36c41"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BILLING_DIGESTS))
+def test_billing_bytes(workdir, argv):
+    out = workdir / f"billing_pin_{argv[1]}.json"
+    assert cli_main(["billing", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BILLING_DIGESTS[argv]
+
+
 # ---------------------------------------------------------------------------
 # 7. Negative controls
 
@@ -422,3 +445,23 @@ def test_criterion_9_determinism(workdir):
     assert runs["a"] == runs["j"], "--jobs 4 run differs"
     elapsed = time.monotonic() - t0
     _report(9, f"criteria 3-6 outputs byte-identical across reruns and --jobs 4, {elapsed:.1f}s")
+
+
+# ---------------------------------------------------------------------------
+# The benchmark tracer wraps module attributes by name; a probe whose
+# binding is gone silently measures nothing, so every one must resolve.
+
+
+def test_benchmark_probes_resolve():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t for _, t in tracer.PROBES if t != "multiprocessing:Pool"]
+    assert targets
+    for target in targets:
+        module_name, _, attr = target.partition(":")
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"probe target {target} is absent"
+            owner = getattr(owner, part)

@@ -82,21 +82,21 @@ def test_component_report_single_region():
     f = TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1)  # d = t^2 + 1
     params = [Fraction(1), Fraction(-3)]
     rep = component_report(f, params, _grid(params))
-    assert len(rep.regions) == 1
-    assert rep.regions[0].hit and rep.regions[0].count == 2
-    assert rep.regions[0].d_sign == 1
+    assert len(rep) == 1
+    assert rep[0].hit and rep[0].count == 2
+    assert rep[0].d_sign == 1
 
 
 def test_component_report_sign_regions():
     f = TwistQuadratic(c=Fraction(1), a=Fraction(1), p=X3_PLUS_1)  # d = t^2 - 1
     params = [Fraction(2), Fraction(-2)]
     rep = component_report(f, params, _grid(params))
-    names = [r.name for r in rep.regions]
-    assert len(rep.regions) == 3
-    outer = [r for r in rep.regions if "sqrt(a) < t" not in r.name or "t <" in r.name]
-    middle = [r for r in rep.regions if r.name == "-sqrt(a) < t < sqrt(a)"][0]
+    names = [r.name for r in rep]
+    assert len(rep) == 3
+    outer = [r for r in rep if "sqrt(a) < t" not in r.name or "t <" in r.name]
+    middle = [r for r in rep if r.name == "-sqrt(a) < t < sqrt(a)"][0]
     assert not middle.hit
-    hits = [r.hit for r in rep.regions]
+    hits = [r.hit for r in rep]
     assert hits.count(True) == 2
     assert middle.d_sign == -1
 
@@ -168,7 +168,7 @@ def test_component_report_matches_bruteforce(case):
     f, params = case
     got = [
         (r.name, r.d_sign, r.count, r.hit, r.bin_coverage)
-        for r in component_report(f, params, _grid(params)).regions
+        for r in component_report(f, params, _grid(params))
     ]
     assert got == _reference_regions(f, params)
 
@@ -177,7 +177,7 @@ def test_component_report_matches_bruteforce(case):
 def test_component_regions_partition(q, a):
     f = TwistQuadratic(c=Fraction(1), a=a, p=X3_PLUS_1)
     rep = component_report(f, [q], _grid([q]))
-    total = sum(r.count for r in rep.regions)
+    total = sum(r.count for r in rep)
     if q * q == a:  # boundary points lie in no region (degenerate params)
         assert total == 0
     else:

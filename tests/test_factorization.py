@@ -47,10 +47,10 @@ def test_factorize_random_roundtrip():
 
 
 def test_squarefree_examples():
-    assert squarefree_part(24).squarefree == 6
-    assert squarefree_part(1).squarefree == 1
-    assert squarefree_part(-50).squarefree == -2
-    assert squarefree_part(-1).squarefree == -1
+    assert squarefree_part(24) == 6
+    assert squarefree_part(1) == 1
+    assert squarefree_part(-50) == -2
+    assert squarefree_part(-1) == -1
     with pytest.raises(ZeroInput):
         squarefree_part(0)
 
@@ -61,37 +61,25 @@ def test_squarefree_random_bulk():
     rng = random.Random(20260808)
     for _ in range(10_000):
         n = rng.randint(1, 10**12) * rng.choice((1, -1))
-        cls = squarefree_part(n)
-        s = cls.squarefree
+        s = squarefree_part(n)
         assert n % s == 0
         m = n // s
         assert m > 0 and isqrt(m) ** 2 == m
-        # the recorded prime support reconstructs s
-        prod = -1 if cls.negative else 1
-        for p in cls.primes:
-            prod *= p
-        assert prod == s
+        # s is squarefree: every prime of |s| appears once
+        assert all(e == 1 for e in factorize(abs(s)).values())
 
 
 def test_squarefree_of_rational():
-    assert squarefree_part_of_rational(Fraction(3, 8)).squarefree == 6
-    assert squarefree_part_of_rational(Fraction(-15, 8)).squarefree == -30
+    assert squarefree_part_of_rational(Fraction(3, 8)) == 6
+    assert squarefree_part_of_rational(Fraction(-15, 8)) == -30
 
 
 def test_independence_examples():
-    def cls(n):
-        return squarefree_part(n)
-
-    ok, wit = square_class_independent([cls(2), cls(3), cls(5)])
-    assert ok and wit is None
-    ok, wit = square_class_independent([cls(6), cls(10), cls(15)])
-    assert not ok
-    prod = 1
-    for c in wit:
-        prod *= c.squarefree
-    assert prod == 900  # 30^2
-    ok, _ = square_class_independent([cls(6), cls(15), cls(30)])
-    assert ok
+    assert square_class_independent([2, 3, 5])
+    assert not square_class_independent([6, 10, 15])  # 6 * 10 * 15 = 30^2
+    assert square_class_independent([6, 15, 30])
+    assert square_class_independent([-1, -6])
+    assert not square_class_independent([-1, -2, 2])
 
 
 def test_unit_class_rejected():
@@ -124,14 +112,7 @@ def _squarefree_sets(draw):
 def test_independence_vs_brute_force(values):
     # Cross-check against brute-force subset-product square testing.
     classes = [squarefree_part(v) for v in values]
-    ok, wit = square_class_independent(classes)
-    brute = brute_force_subset_square(values)
-    assert ok == (brute is None)
-    if not ok:
-        prod = 1
-        for c in wit:
-            prod *= c.squarefree
-        assert prod > 0 and isqrt(prod) ** 2 == prod
+    assert square_class_independent(classes) == (brute_force_subset_square(values) is None)
 
 
 # Factors above 1000 leave cofactors that trial division cannot split.
@@ -151,8 +132,7 @@ def test_same_square_class_iff_quotient_is_square(u, q, same):
     # The twist fiber-first walk joins on this: u/w is a square exactly
     # when u and w have the same signed squarefree part.
     w = u * q * q if same else q
-    cu, cw = squarefree_part_of_rational(u), squarefree_part_of_rational(w)
-    same_class = cu.squarefree == cw.squarefree
+    same_class = squarefree_part_of_rational(u) == squarefree_part_of_rational(w)
     assert same_class == (is_rational_square(u / w) is not None)
     if same:
         assert same_class
