@@ -17,8 +17,9 @@ n exists and the exact n S is O. The primes start at p = 1009: by Hasse
 in practice lie far below it, so the first candidate is nearly always good.
 
 Points are checked on the curve at the public boundary (`add`, `mul`,
-`torsion_order`, `reduce_mod_p`, `small_relation_search`); the internal
-group law `_add`/`_mul` trusts its inputs.
+`torsion_order`, `reduce_mod_p`, `small_relation_search`, and
+`require_on_curve` for callers outside this module); the internal group
+law `_add`/`_mul` trusts its inputs.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def on_curve(C: Curve, P: Point) -> bool:
     return P.y * P.y == P.x**3 + C.A * P.x + C.B
 
 
-def _require(C: Curve, P: Point) -> None:
+def require_on_curve(C: Curve, P: Point) -> None:
+    """Raise PointNotOnCurve unless P lies on C."""
     if not on_curve(C, P):
         raise PointNotOnCurve(f"{P} not on {C}")
 
@@ -131,8 +133,8 @@ def _add(C: Curve, P: Point, Q: Point) -> Point:
 
 
 def add(C: Curve, P: Point, Q: Point) -> Point:
-    _require(C, P)
-    _require(C, Q)
+    require_on_curve(C, P)
+    require_on_curve(C, Q)
     return _add(C, P, Q)
 
 
@@ -152,7 +154,7 @@ def _mul(C: Curve, n: int, P: Point) -> Point:
 
 
 def mul(C: Curve, n: int, P: Point) -> Point:
-    _require(C, P)
+    require_on_curve(C, P)
     return _mul(C, n, P)
 
 
@@ -199,7 +201,7 @@ def torsion_order(C: Curve, P: Point) -> Optional[int]:
     """
     if P.is_infinity:
         return 1
-    _require(C, P)
+    require_on_curve(C, P)
     cfp = _curve_mod(C, good_primes(C, 1, SCREEN_PRIME_START)[0])
     n = cfp.order(cfp.reduce(P))
     return n if n is not None and _mul(C, n, P).is_infinity else None
@@ -277,7 +279,7 @@ def reduce_mod_p(C: Curve, P: Point, p: int) -> tuple[CurveFp, Optional[tuple[in
     is taken. Points with p in a denominator reduce to the point at
     infinity. Raises BadReduction at any other p (p = 2 always).
     """
-    _require(C, P)
+    require_on_curve(C, P)
     if _bad_part(C) % p == 0:
         raise BadReduction(f"p={p} divides 2, a denominator of A or B, or the discriminant")
     cfp = _curve_mod(C, p)
@@ -318,7 +320,7 @@ def small_relation_search(
     if not points:
         return None
     for P in points:
-        _require(C, P)
+        require_on_curve(C, P)
     k = len(points)
 
     # Exact multiple tables m[i][n] for n in -bound..bound, and their reductions.

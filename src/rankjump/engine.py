@@ -77,31 +77,23 @@ class WitnessCertificate:
         }
 
     def csv_row(self) -> list[str]:
-        det = str(self.gram.det_lower_bound) if self.gram is not None else ""
-        return [
-            format_rational(self.param),
-            format_rational(self.curve.A),
-            format_rational(self.curve.B),
-            str(self.witness),
-            str(len(self.section_points)),
-            str(self.certified_rank_lb),
-            "true" if self.jump else "false",
-            det,
-            self.status,
-        ]
+        return [cell(self) for _, cell in _CSV_TABLE]
 
 
-CSV_COLUMNS = [
-    "param",
-    "curve_A",
-    "curve_B",
-    "witness",
-    "n_sections",
-    "certified_rank_lb",
-    "jump",
-    "gram_det_lb",
-    "status",
-]
+# The CSV report: one (column, cell) pair per column, in order.
+_CSV_TABLE = (
+    ("param", lambda c: format_rational(c.param)),
+    ("curve_A", lambda c: format_rational(c.curve.A)),
+    ("curve_B", lambda c: format_rational(c.curve.B)),
+    ("witness", lambda c: str(c.witness)),
+    ("n_sections", lambda c: str(len(c.section_points))),
+    ("certified_rank_lb", lambda c: str(c.certified_rank_lb)),
+    ("jump", lambda c: "true" if c.jump else "false"),
+    ("gram_det_lb", lambda c: "" if c.gram is None else str(c.gram.det_lower_bound)),
+    ("status", lambda c: c.status),
+)
+
+CSV_COLUMNS = [name for name, _ in _CSV_TABLE]
 
 
 def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> WitnessCertificate:
@@ -211,7 +203,7 @@ def scan(
     if jobs > 1 and len(points) > 1:
         import multiprocessing as mp
 
-        with mp.Pool(jobs) as pool:
+        with mp.Pool(min(jobs, len(points))) as pool:
             results = pool.map(_certify_candidate, [(f, w, tol_d) for w in points])
     else:
         results = [_certify_candidate((f, w, tol_d)) for w in points]

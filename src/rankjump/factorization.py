@@ -57,8 +57,6 @@ _TRIAL_PRIMES = tuple(p for p in range(1000) if is_probable_prime(p))
 
 def _brent_rho(n: int) -> int:
     """A nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
     # Deterministic parameter sweep keeps results reproducible.
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1

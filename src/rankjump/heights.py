@@ -39,10 +39,10 @@ from .curves import (
     add,
     integral_model,
     is_torsion,
-    on_curve,
     point_to_integral,
+    require_on_curve,
 )
-from .errors import EmptyInput, PointNotOnCurve, ToleranceUnreachable
+from .errors import EmptyInput, ToleranceUnreachable
 from .intervals import CTX, Interval, det_interval, ln_int_interval
 
 # Doubling depth hard cap: coordinate digits grow like 4^N.
@@ -130,20 +130,19 @@ class XChain:
         a, b, u, v = self.a, self.b, self.u, self.v
         u2 = u * u
         v2 = v * v
-        uv = u * v
-        F = u2 * u2 - 2 * a * u2 * v2 - 8 * b * uv * v2 + a * a * v2 * v2
-        G = 4 * v * (u * u2 + a * u * v2 + b * v * v2)
+        av2 = a * v2
+        bv3 = b * v * v2
+        F = (u2 - av2) ** 2 - 8 * u * bv3
+        G = 4 * v * (u * (u2 + av2) + bv3)
         if G == 0:
             raise ArithmeticError("doubling hit a 2-torsion point")
         g = math.gcd(math.gcd(F, self.t), math.gcd(G, self.t))
         F //= g
         G //= g
+        # F = 0 needs no special case: the identities then give G | 4D u^7
+        # and G | 4D v^7, and gcd(u, v) = 1, so G | 4D = t and F/G is 0/1.
         if G < 0:
             F, G = -F, -G
-        if F == 0:
-            # x(2P) = 0: the identities force G | 4D, so g above already
-            # cleared it; keep the canonical 0/1 form regardless.
-            G = 1
         self.u, self.v = F, G
         self.depth += 1
 
@@ -212,8 +211,7 @@ def height_interval(C: Curve, P: Point, depth: int) -> Interval:
 
     Torsion points (including infinity) get the exact interval [0, 0].
     """
-    if not on_curve(C, P):
-        raise PointNotOnCurve(f"{P} not on {C}")
+    require_on_curve(C, P)
     return _Model(C).enclose(P, depth)
 
 
@@ -223,8 +221,7 @@ def canonical_height(C: Curve, P: Point, tol=DEFAULT_HEIGHT_TOL) -> HeightEstima
     Raises ToleranceUnreachable when the required depth exceeds the cap.
     """
     tol_d = tolerance(tol)
-    if not on_curve(C, P):
-        raise PointNotOnCurve(f"{P} not on {C}")
+    require_on_curve(C, P)
     m = _Model(C)
     chain = m.chain(P)
     if chain is None:
@@ -290,8 +287,7 @@ def gram_certify(C: Curve, points: Sequence[Point], tol) -> GramCertificate:
     if not pts:
         raise EmptyInput("gram_certify needs at least one point")
     for P in pts:
-        if not on_curve(C, P):
-            raise PointNotOnCurve(f"{P} not on {C}")
+        require_on_curve(C, P)
     if len({(P.x, P.y) for P in pts}) != len(pts):
         raise ValueError("points must be pairwise distinct")
 

@@ -78,9 +78,6 @@ class Interval:
     def strictly_positive(self) -> bool:
         return self.lo > 0
 
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
-
 
 def det_interval(M: Sequence[Sequence[Interval]]) -> Interval:
     """Determinant enclosure by Laplace expansion with column-subset memoing.

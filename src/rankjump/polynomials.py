@@ -38,12 +38,8 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     )
 
 
-def poly_neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
 def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_neg(q))
+    return poly_add(p, tuple(-c for c in q))
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -189,9 +185,6 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return ratfunc(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
 
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(poly_neg(self.num), self.den)
-
     def eval(self, q: Fraction) -> Fraction:
         d = poly_eval(self.den, q)
         if d == 0:
@@ -223,12 +216,11 @@ def ratfunc_to_json(f: RatFunc) -> dict:
 
 
 def ratfunc_from_json(obj) -> RatFunc:
-    """Accepts {"num": [...], "den": [...]} or a bare coefficient list."""
+    """Accepts {"num": [...], "den": [...]} (den defaults to [1]) or a bare
+    coefficient list; a scalar is rejected."""
     if isinstance(obj, (list, tuple)):
         return ratfunc(parse_poly(obj))
     if isinstance(obj, dict) and set(obj) <= {"num", "den"} and "num" in obj:
         den = parse_poly(obj["den"]) if "den" in obj else poly([1])
         return ratfunc(parse_poly(obj["num"]), den)
-    if isinstance(obj, (str, int)):
-        return ratfunc(poly([parse_rational(str(obj))]))
     raise ValueError(f"not a rational function: {obj!r}")

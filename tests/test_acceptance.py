@@ -316,6 +316,40 @@ def test_twist_total_first_bytes(workdir, family_file):
     assert _digests(workdir / out_name) == want
 
 
+# sha256 of the default-format (CSV) scan report: n_sections 0 and 1, rank
+# bounds 0, 1 and 2, jump true and false, and an empty gram_det_lb on
+# torsion-witness rows.  The JSON digests above do not read these bytes.
+CSV_REPORT_DIGESTS = {
+    ("pencil.json", 4, "fiber-first"): (
+        "57468594e88a30c750ec6221d7d0bbad8bf9ee690e75a18bd8544659968ff58f"
+    ),
+    ("twistlin.json", 6, "total-first"): (
+        "8d96cb676f9d6583b70ec2027fd0927a4e1c4ac282997a9e3e3f3a78bf299076"
+    ),
+    ("twistquad.json", 10, "fiber-first"): (
+        "2b2e834a4b6d2c176bae0ccbc8f2266f99345ff5affbca3ff46ce5dc4da3f2fe"
+    ),
+}
+
+# The benchmark's reference pencil y^2 = x^3 + x - t + t^2 - t^3, section (t, t).
+PENCIL_JSON = {
+    "kind": "weierstrass_pencil",
+    "A": {"num": ["1"], "den": ["1"]},
+    "B": {"num": ["0", "-1", "1", "-1"], "den": ["1"]},
+    "sections": [[["0", "1"], ["0", "1"]]],
+}
+
+
+@pytest.mark.parametrize("family_file, bound, mode", sorted(CSV_REPORT_DIGESTS))
+def test_csv_report_bytes(workdir, family_file, bound, mode):
+    (workdir / "pencil.json").write_text(json.dumps(PENCIL_JSON))
+    out = workdir / f"csv_{family_file}_{bound}.csv"
+    args = ["scan", "--family", str(workdir / family_file), "--bound", str(bound)]
+    assert cli_main([*args, "--mode", mode, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CSV_REPORT_DIGESTS[(family_file, bound, mode)]
+
+
 def test_criterion_6_billing(workdir):
     t0 = time.monotonic()
     out = str(workdir / "billing.json")

@@ -62,6 +62,14 @@ def test_polynomial_must_be_an_array(tmp_path, capsys, family):
     assert not Path(out).exists()
 
 
+@pytest.mark.parametrize("value", ["1", 7], ids=["string", "int"])
+def test_rational_function_must_be_an_object_or_array(tmp_path, capsys, value):
+    # a bare scalar is not read as a constant rational function
+    fam = _write(tmp_path, "f.json", {**PENCIL, "A": value})
+    assert main(["validate", fam]) == 2
+    assert "not a rational function" in capsys.readouterr().out
+
+
 def test_scan_csv_and_density(tmp_path, capsys):
     fam = _write(tmp_path, "f.json", TWIST_LINEAR)
     out = str(tmp_path / "scan.csv")

@@ -164,6 +164,35 @@ def test_scan_deterministic_and_jobs_equal():
     assert a == c
 
 
+def test_scan_starts_at_most_one_worker_per_candidate(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        """multiprocessing.Pool run in-process: records its size, maps serially."""
+
+        def __init__(self, processes=None):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=None):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    f = TwistLinear(p=X3_MINUS_X)
+    n = len(witness_stream(f, 2, "total-first")[0])
+    serial = scan(f, 2, "total-first")
+    assert n > 1 and serial.candidates == n
+    assert scan(f, 2, "total-first", jobs=n + 5) == serial
+    assert sizes == [n]
+
+
 def test_certificate_soundness_invariant():
     # every jump = true certificate carries a positive determinant over
     # exactly certified_rank_lb points, each reproducibly on the curve
