@@ -3,7 +3,8 @@ and reports out.
 
 Exit codes: 0 success, 2 config/input error, 3 search exhausted.  Data
 files carry no timestamps; identical invocations write identical bytes.
-Run metadata goes to stderr only.
+stdout (or --out) carries only a command's data; every error and run note
+goes to stderr, and errors leave only through `main`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .curves import Curve, on_curve, parse_point
+from .curves import Curve, parse_point
 from .density import density_report
 from .engine import (
     CSV_COLUMNS,
@@ -98,12 +99,7 @@ def _emit(payload: bytes, out: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        fam = _load_family(args.family)
-    except (OSError, json.JSONDecodeError, RankJumpError) as exc:
-        print(f"error: {exc}")
-        return 2
-    findings = validate_family(fam)
+    findings = validate_family(_load_family(args.family))
     for f in findings:
         print(f"{f.severity}: [{f.code}] {f.message}")
     if any(f.severity == "error" for f in findings):
@@ -129,7 +125,8 @@ def cmd_scan(args) -> int:
         Path(args.out + ".histogram.csv").write_bytes(_csv_bytes(dens.histogram.csv_rows()))
     print(
         f"certified {report.certified} of {report.candidates} candidates, "
-        f"{report.distinct_params} distinct params"
+        f"{report.distinct_params} distinct params",
+        file=sys.stderr,
     )
     print(f"scan took {time.monotonic() - t0:.1f}s", file=sys.stderr)
     return 0
@@ -152,13 +149,8 @@ def cmd_neron(args) -> int:
 
 
 def cmd_height(args) -> int:
-    C = Curve(*args.curve)
-    P = parse_point(args.point)
-    if not on_curve(C, P):
-        print("error: point is not on the curve", file=sys.stderr)
-        return 2
-    est = canonical_height(C, P, args.tol)
-    sys.stdout.write(_json_bytes(est.to_json()).decode("ascii"))
+    est = canonical_height(Curve(*args.curve), parse_point(args.point), args.tol)
+    _emit(_json_bytes(est.to_json()), None)
     return 0
 
 
@@ -213,7 +205,7 @@ def main(argv=None) -> int:
     except SearchExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RankJumpError, OSError, json.JSONDecodeError, ValueError, ArithmeticError) as exc:
+    except (RankJumpError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

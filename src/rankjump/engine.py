@@ -40,7 +40,7 @@ from .families import (
     validate_family,
     witness_stream,
 )
-from .heights import GramCertificate, HeightEstimate, gram_certify, tolerance
+from .heights import GramCertificate, gram_certify, tolerance
 from .polynomials import Poly, poly_eval
 from .rationals import format_rational, is_rational_square, iter_rationals, rat_height
 
@@ -54,7 +54,6 @@ class WitnessCertificate:
     curve: Curve
     section_points: tuple[Point, ...]
     witness: Point
-    heights: tuple[HeightEstimate, ...]
     gram: Optional[GramCertificate]
     certified_rank_lb: int
     declared_generic_rank: int
@@ -68,7 +67,7 @@ class WitnessCertificate:
             "curve": {"A": format_rational(self.curve.A), "B": format_rational(self.curve.B)},
             "section_points": [str(P) for P in self.section_points],
             "witness": str(self.witness),
-            "heights": [h.to_json() for h in self.heights],
+            "heights": [] if self.gram is None else [h.to_json() for h in self.gram.heights],
             "gram": self.gram.to_json() if self.gram is not None else None,
             "certified_rank_lb": self.certified_rank_lb,
             "declared_generic_rank": self.declared_generic_rank,
@@ -130,7 +129,6 @@ def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> Witnes
         curve=C,
         section_points=tuple(sections),
         witness=w.witness,
-        heights=gram.heights if gram is not None else (),
         gram=gram,
         certified_rank_lb=lb,
         declared_generic_rank=declared,
@@ -193,8 +191,6 @@ def scan(
     (status shows why).  Every candidate is attempted regardless of jobs,
     so sequential and parallel runs produce identical reports.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     tol_d = tolerance(tol)

@@ -141,8 +141,8 @@ class XChain:
         G //= g
         # F = 0 needs no special case: the identities then give G | 4D u^7
         # and G | 4D v^7, and gcd(u, v) = 1, so G | 4D = t and F/G is 0/1.
-        if G < 0:
-            F, G = -F, -G
+        # G is already positive: for the chain's point (u/v, y), v > 0, it
+        # was 4v^4 y^2 with y != 0 (torsion never starts a chain), and g > 0.
         self.u, self.v = F, G
         self.depth += 1
 

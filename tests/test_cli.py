@@ -33,15 +33,23 @@ def test_validate_inseparable(tmp_path, capsys):
     assert "separable" in capsys.readouterr().out
 
 
-def test_validate_malformed_json(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"{nope",
+        b'{"kind": "twist_linear", "p": ["\xff"]}',
+        json.dumps({**TWIST_LINEAR, "extra": True}).encode(),
+    ],
+    ids=["malformed", "non-utf8", "unknown-field"],
+)
+def test_validate_malformed_json(tmp_path, capsys, data):
+    # a load error is not a finding: it leaves through main, on stderr only
     p = tmp_path / "bad.json"
-    p.write_text("{nope")
+    p.write_bytes(data)
     assert main(["validate", str(p)]) == 2
-
-
-def test_validate_unknown_field(tmp_path):
-    path = _write(tmp_path, "f.json", {**TWIST_LINEAR, "extra": True})
-    assert main(["validate", path]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -56,7 +64,7 @@ def test_polynomial_must_be_an_array(tmp_path, capsys, family):
     # a string is not read one character per coefficient
     fam = _write(tmp_path, "f.json", family)
     assert main(["validate", fam]) == 2
-    assert "array" in capsys.readouterr().out
+    assert "array" in capsys.readouterr().err
     out = str(tmp_path / "scan.csv")
     assert main(["scan", "--family", fam, "--bound", "2", "--out", out]) == 2
     assert not Path(out).exists()
@@ -67,7 +75,7 @@ def test_rational_function_must_be_an_object_or_array(tmp_path, capsys, value):
     # a bare scalar is not read as a constant rational function
     fam = _write(tmp_path, "f.json", {**PENCIL, "A": value})
     assert main(["validate", fam]) == 2
-    assert "not a rational function" in capsys.readouterr().out
+    assert "not a rational function" in capsys.readouterr().err
 
 
 def test_scan_csv_and_density(tmp_path, capsys):
@@ -86,7 +94,7 @@ def test_scan_csv_and_density(tmp_path, capsys):
     hist_csv = Path(out + ".histogram.csv").read_text().splitlines()
     assert hist_csv[0] == "bin_lo,bin_hi,count"
     assert len(hist_csv) == 21
-    assert "certified" in capsys.readouterr().out
+    assert "certified" in capsys.readouterr().err
 
 
 def test_scan_json_format(tmp_path):
@@ -99,6 +107,20 @@ def test_scan_json_format(tmp_path):
     rep = json.loads(Path(out).read_text())
     params = [c["param"] for c in rep["certificates"]]
     assert "-5/6" in params and "3/4" in params
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_stdout_is_the_report(tmp_path, capsys, fmt):
+    # without --out, stdout carries the --out bytes and nothing else
+    fam = _write(tmp_path, "f.json", TWIST_LINEAR)
+    out = tmp_path / "scan.out"
+    argv = ["scan", "--family", fam, "--bound", "3", "--format", fmt]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    cap = capsys.readouterr()
+    assert cap.out == out.read_text()
+    assert "certified" in cap.err and "scan took" in cap.err
 
 
 def test_billing_roundtrip(tmp_path):
@@ -241,7 +263,7 @@ def test_scan_pencil_with_eight_sections(tmp_path, capsys):
     assert main(["validate", fam]) == 0
     assert capsys.readouterr().out == "valid\n"
     assert main(["scan", "--family", fam, "--bound", "1", "--mode", "fiber-first"]) == 0
-    assert "certified 3 of 3 candidates" in capsys.readouterr().out
+    assert "certified 3 of 3 candidates" in capsys.readouterr().err
 
 
 def test_height_command(capsys):
@@ -261,6 +283,13 @@ def test_height_torsion(capsys):
 
 def test_height_off_curve():
     assert main(["height", "--curve", "0,1", "--point", "1,1"]) == 2
+
+
+def test_height_off_curve_names_the_point(capsys):
+    assert main(["height", "--curve=0,8", "--point", "1,2"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: 1,2 not on y^2 = x^3 + (0)x + (8)\n"
 
 
 def test_scan_determinism_bytes(tmp_path):
