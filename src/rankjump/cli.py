@@ -81,16 +81,6 @@ def _load_family(path: str):
     return family_from_json(obj)
 
 
-def _load_valid_family(path: str):
-    """The family at path, or None after printing each error finding that
-    makes `validate` reject it."""
-    fam = _load_family(path)
-    errors = [f for f in validate_family(fam) if f.severity == "error"]
-    for f in errors:
-        print(f"error: [{f.code}] {f.message}", file=sys.stderr)
-    return None if errors else fam
-
-
 def _emit(payload: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload.decode("ascii"))
@@ -110,9 +100,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    fam = _load_valid_family(args.family)
-    if fam is None:
-        return 2
+    fam = _load_family(args.family)
     t0 = time.monotonic()
     report = scan(fam, args.bound, args.mode, args.tol, jobs=args.jobs)
     if args.format == "json":
@@ -140,9 +128,7 @@ def cmd_billing(args) -> int:
 
 
 def cmd_neron(args) -> int:
-    fam = _load_valid_family(args.family)
-    if fam is None:
-        return 2
+    fam = _load_family(args.family)
     report = neron_check(fam, args.bound, args.tol)
     _emit(_json_bytes(report.to_json()), args.out)
     return 0

@@ -37,10 +37,11 @@ from .families import (
     TotalSpacePoint,
     TwistLinear,
     fiber_at,
-    validate_family,
+    require_valid,
     witness_stream,
 )
 from .heights import GramCertificate, gram_certify, tolerance
+from .intervals import CTX
 from .polynomials import Poly, poly_eval
 from .rationals import format_rational, is_rational_square, iter_rationals, rat_height
 
@@ -88,11 +89,16 @@ _CSV_TABLE = (
     ("n_sections", lambda c: str(len(c.section_points))),
     ("certified_rank_lb", lambda c: str(c.certified_rank_lb)),
     ("jump", lambda c: "true" if c.jump else "false"),
-    ("gram_det_lb", lambda c: "" if c.gram is None else str(c.gram.det_lower_bound)),
+    ("gram_det_lb", lambda c: "" if c.gram is None else CTX.to_sci_string(c.gram.det_lower_bound)),
     ("status", lambda c: c.status),
 )
 
 CSV_COLUMNS = [name for name, _ in _CSV_TABLE]
+
+
+def _gram_tol(tol) -> Decimal:
+    """The depth Gram refinement may go down to for scan tolerance tol."""
+    return CTX.divide(tolerance(tol), Decimal(10))
 
 
 def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> WitnessCertificate:
@@ -106,7 +112,7 @@ def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> Witnes
     positive determinant, so most independent sets resolve well above that
     depth.
     """
-    gram_tol = tolerance(tol) / 10
+    gram_tol = _gram_tol(tol)
     declared = f.declared_generic_rank
     C = w.curve
     sections = f.sections_at(w.param, C)
@@ -191,6 +197,7 @@ def scan(
     (status shows why).  Every candidate is attempted regardless of jobs,
     so sequential and parallel runs produce identical reports.
     """
+    require_valid(f)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     tol_d = tolerance(tol)
@@ -225,7 +232,7 @@ def scan(
         family_id=f.family_id,
         bound=bound,
         mode=mode,
-        tol=str(tol_d),
+        tol=CTX.to_sci_string(tol_d),
         certificates=tuple(ordered),
         candidates=len(points),
         degenerate=stats.degenerate_skipped + degenerate_cert,
@@ -268,6 +275,7 @@ class NeronCheckReport:
 def neron_check(f: Family, bound: int, tol=DEFAULT_SCAN_TOL) -> NeronCheckReport:
     if not f.sections:
         raise ValueError("neron_check needs a Weierstrass pencil with >= 1 section")
+    require_valid(f)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     tol_d = tolerance(tol)
@@ -283,7 +291,7 @@ def neron_check(f: Family, bound: int, tol=DEFAULT_SCAN_TOL) -> NeronCheckReport
             continue
         sampled += 1
         # Sections that meet at lam are dependent; only the relation search applies.
-        if len(set(pts)) == len(pts) and gram_certify(C, pts, tol_d / 10).certified:
+        if len(set(pts)) == len(pts) and gram_certify(C, pts, _gram_tol(tol_d)).certified:
             certified += 1
             continue
         rel = small_relation_search(C, pts, 12)
@@ -294,7 +302,7 @@ def neron_check(f: Family, bound: int, tol=DEFAULT_SCAN_TOL) -> NeronCheckReport
     return NeronCheckReport(
         family_id=f.family_id,
         bound=bound,
-        tol=str(tol_d),
+        tol=CTX.to_sci_string(tol_d),
         sampled=sampled,
         certified_independent=certified,
         inconclusive=tuple(inconclusive),
@@ -394,9 +402,7 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
     if r < 1:
         raise ValueError("r must be >= 1")
     f = TwistLinear(p=p)
-    bad = [x.message for x in validate_family(f) if x.severity == "error"]
-    if bad:
-        raise ValueError("; ".join(bad))
+    require_valid(f)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     base = Curve(*f.depressed[:2])

@@ -62,7 +62,8 @@ class SearchExhausted(RankJumpError):
 
 
 class FamilyFormatError(RankJumpError):
-    """A family description (JSON or CLI) does not match the schema."""
+    """A family description (JSON or CLI) does not match the schema, or the
+    family fails a hypothesis that `validate` checks (an error finding)."""
 
 
 class InvalidCertificate(RankJumpError):

@@ -20,8 +20,9 @@ fields.  What depends on the family alone (its identifier, a twist's
 depressed cubic and d(t)) is computed once per family object and cached on
 it; the cache is not a field, so equality, hashing and the JSON form
 ignore it.  Module-level code is what no single kind owns: the JSON codec,
-the `witness_stream` driver, and the public entry points `validate_family`
-and `fiber_at`.
+the `witness_stream` driver, and the public entry points `validate_family`,
+`require_valid` (the admission rule that `scan`, `neron_check` and
+`billing_build` apply before any work) and `fiber_at`.
 
 A candidate carries its fiber: the walk that finds a witness keeps the
 curve it built at that parameter, and certification runs on that curve
@@ -466,6 +467,13 @@ _KINDS = {
 def validate_family(f: Family) -> list[Finding]:
     """Hypothesis checks; problems are returned as findings, never raised."""
     return f.findings()
+
+
+def require_valid(f: Family) -> None:
+    """Raise FamilyFormatError naming each error finding of validate_family(f)."""
+    errors = [x for x in validate_family(f) if x.severity == "error"]
+    if errors:
+        raise FamilyFormatError("; ".join(f"[{x.code}] {x.message}" for x in errors))
 
 
 def fiber_at(f: Family, lam: Fraction) -> Curve:

@@ -43,7 +43,7 @@ from .curves import (
     require_on_curve,
 )
 from .errors import EmptyInput, ToleranceUnreachable
-from .intervals import CTX, Interval, det_interval, ln_int_interval
+from .intervals import CTX, Interval, det_interval, ln_int_interval, negate
 
 # Doubling depth hard cap: coordinate digits grow like 4^N.
 DEPTH_CAP = 14
@@ -68,7 +68,10 @@ class HeightEstimate:
     error_bound: Decimal
 
     def to_json(self) -> dict:
-        return {"value": str(self.value), "err": str(self.error_bound)}
+        return {
+            "value": CTX.to_sci_string(self.value),
+            "err": CTX.to_sci_string(self.error_bound),
+        }
 
 
 def _estimate(iv: Interval) -> HeightEstimate:
@@ -171,7 +174,7 @@ class _Model:
         if chain is None:
             return Interval.exact(0)
         L = ln_int_interval(max(abs(chain.u), chain.v)).div_exact_int(4**chain.depth)
-        return L + Interval(-self.alpha, self.beta).div_exact_int(3 * 4**chain.depth)
+        return L + Interval(negate(self.alpha), self.beta).div_exact_int(3 * 4**chain.depth)
 
     def enclose(self, P: Point, depth: int) -> Interval:
         chain = self.chain(P)
@@ -266,9 +269,10 @@ class GramCertificate:
         return {
             "points": [str(P) for P in self.points],
             "entries": [
-                [[str(e.lo), str(e.hi)] for e in row] for row in self.entries
+                [[CTX.to_sci_string(e.lo), CTX.to_sci_string(e.hi)] for e in row]
+                for row in self.entries
             ],
-            "det_lower_bound": str(self.det_lower_bound),
+            "det_lower_bound": CTX.to_sci_string(self.det_lower_bound),
             "certified": self.certified,
         }
 

@@ -2,9 +2,14 @@
 
 Every certified numeric quantity (heights, Gram determinants) flows
 through this module.  Endpoints live in a fixed 45-digit context and each
-operation widens the result by one ulp on each side, so an Interval always
-encloses the exact real value it tracks.  libmpdec semantics make the
-results identical across platforms and worker processes.
+operation except negation widens the result by one ulp on each side, so an
+Interval encloses the exact real value it tracks.  Negation (`negate`)
+rounds to 28 digits, half-even, without widening, so an endpoint it
+touches can move by up to half a unit in its 28th digit, inward as well
+as outward.  Every operation names its context and Decimals become text
+through `CTX.to_sci_string`, so no result depends on the caller's
+`decimal` context.  libmpdec semantics make the results identical across
+platforms and worker processes.
 """
 
 from __future__ import annotations
@@ -15,7 +20,12 @@ from typing import Sequence
 
 from .errors import EmptyInput
 
-CTX = Context(prec=45, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999)
+CTX = Context(prec=45, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1)
+
+# Negation rounds to 28 digits, the precision of Python's default context,
+# under which every recorded report was produced; exact negation would
+# change their bytes.
+_NEG_CTX = Context(prec=28, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1)
 
 ZERO = Decimal(0)
 
@@ -26,6 +36,11 @@ def _down(x: Decimal) -> Decimal:
 
 def _up(x: Decimal) -> Decimal:
     return CTX.next_plus(x)
+
+
+def negate(x: Decimal) -> Decimal:
+    """-x, rounded to 28 digits half-even whatever the caller's context."""
+    return _NEG_CTX.minus(x)
 
 
 @dataclass(frozen=True)
@@ -59,7 +74,7 @@ class Interval:
         )
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return Interval(negate(self.hi), negate(self.lo))
 
     def __mul__(self, other: "Interval") -> "Interval":
         cands = [

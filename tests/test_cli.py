@@ -1,4 +1,5 @@
 import json
+from decimal import Context, Inexact, Rounded, localcontext
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,34 @@ def test_scan_stdout_is_the_report(tmp_path, capsys, fmt):
     cap = capsys.readouterr()
     assert cap.out == out.read_text()
     assert "certified" in cap.err and "scan took" in cap.err
+
+
+@pytest.mark.parametrize("prec", [3, 50])
+@pytest.mark.parametrize(
+    "family,argv",
+    [(TWIST_LINEAR, ["--bound", "4"]), (PENCIL, ["--bound", "4", "--mode", "fiber-first"])],
+    ids=["x3-x", "pencil"],
+)
+def test_scan_bytes_ignore_caller_context(tmp_path, capsys, family, argv, prec):
+    # Every Decimal operation names its own context: none rounds in the
+    # caller's, so none trips these traps.
+    argv = ["scan", "--family", _write(tmp_path, "f.json", family), "--format", "json"] + argv
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    with localcontext(Context(prec=prec, traps=[Inexact, Rounded])):
+        assert main(argv) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_scan_refusal_is_one_error_line(tmp_path, capsys):
+    # c = 0 and a = 0: two error findings, one line
+    family = {"kind": "twist_quadratic", "c": "0", "a": "0", "p": ["1", "0", "0", "1"]}
+    fam = _write(tmp_path, "f.json", family)
+    assert main(["scan", "--family", fam, "--bound", "3"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: [d-degree] ") and cap.err.count("\n") == 1
+    assert "; [d-separable] " in cap.err
 
 
 def test_billing_roundtrip(tmp_path):

@@ -1,6 +1,6 @@
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +13,7 @@ from rankjump.engine import (
     neron_check,
     scan,
 )
-from rankjump.errors import PointNotOnCurve, SearchExhausted
+from rankjump.errors import FamilyFormatError, PointNotOnCurve, SearchExhausted
 from rankjump.families import (
     CubicPencil,
     TotalSpacePoint,
@@ -53,17 +53,63 @@ def _tol_calls():
     ]
 
 
-@pytest.mark.parametrize("tol", [0, -1, "nan", "inf", "abc", float("nan"), float("inf")])
-def test_bad_tol_raises_value_error(monkeypatch, tol):
-    # The tolerance is checked at entry: no walk starts before it fails.
+def _no_walk(monkeypatch):
     def no_walk(*args):
-        raise AssertionError("walk started before the tolerance check")
+        raise AssertionError("walk started before the entry checks")
 
     monkeypatch.setattr("rankjump.engine.witness_stream", no_walk)
     monkeypatch.setattr("rankjump.engine.iter_rationals", no_walk)
+
+
+@pytest.mark.parametrize("tol", [0, -1, "nan", "inf", "abc", float("nan"), float("inf")])
+def test_bad_tol_raises_value_error(monkeypatch, tol):
+    # The tolerance is checked at entry: no walk starts before it fails.
+    _no_walk(monkeypatch)
     for call in _tol_calls():
         with pytest.raises(ValueError, match="finite decimal > 0"):
             call(tol)
+
+
+# Families that validate rejects, each with the code of its error finding.
+INVALID = [
+    (TwistLinear(p=poly([0, 0, 0, 1])), "p-separable"),
+    (TwistLinear(p=poly([0, -1, 0, 2])), "p-monic"),
+    (TwistQuadratic(c=Fraction(1), a=Fraction(0), p=X3_PLUS_1), "d-separable"),
+    (
+        WeierstrassPencil(
+            A=ratfunc([0]), B=ratfunc([0]), sections=((ratfunc([0, 0, 1]), ratfunc([0, 0, 0, 1])),)
+        ),
+        "pencil-singular",
+    ),
+]
+
+
+@pytest.mark.parametrize("mode", ["total-first", "fiber-first"])
+@pytest.mark.parametrize("f,code", INVALID, ids=lambda x: x if isinstance(x, str) else x.kind)
+def test_scan_refuses_what_validate_rejects(monkeypatch, f, code, mode):
+    _no_walk(monkeypatch)
+    with pytest.raises(FamilyFormatError, match=rf"^\[{code}\] "):
+        scan(f, 3, mode)
+
+
+def test_neron_check_and_billing_refuse_what_validate_rejects(monkeypatch):
+    _no_walk(monkeypatch)
+    with pytest.raises(FamilyFormatError, match=r"^\[pencil-singular\] "):
+        neron_check(INVALID[3][0], 3)
+    with pytest.raises(FamilyFormatError, match=r"^\[p-monic\] "):
+        billing_build(poly([0, -1, 0, 2]), 1, 5)
+
+
+def test_report_text_ignores_context_capitals():
+    def text():
+        rep = scan(TwistLinear(p=X3_MINUS_X), 2, "total-first", tol="1e-7")
+        return rep.to_json(), [c.csv_row() for c in rep.certificates]
+
+    with localcontext() as ctx:
+        ctx.capitals = 0
+        lower = text()
+    assert lower == text()
+    assert lower[0]["config"]["tol"] == "1E-7"
 
 
 def test_certify_fiber_twist_linear():

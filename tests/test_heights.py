@@ -1,5 +1,5 @@
 import random
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -138,6 +138,16 @@ def test_gram_examples():
     assert not g2.certified
     with pytest.raises(EmptyInput):
         gram_certify(C, [], Decimal("1e-4"))
+
+
+def test_gram_certificate_ignores_caller_context():
+    # P and 3P are dependent; negations rounded to a 3-digit caller context
+    # would push the determinant's lower bound above 0 and certify them.
+    pts = [BENCH_P, mul(BENCH, 3, BENCH_P)]
+    default = gram_certify(BENCH, pts, Decimal("1e-5"))
+    with localcontext(Context(prec=3)):
+        assert gram_certify(BENCH, pts, Decimal("1e-5")) == default
+    assert not default.certified
 
 
 def test_gram_rejects_duplicates():
