@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .errors import BadReduction, PointNotOnCurve, SingularCurve
+from .errors import PointNotOnCurve, SingularCurve
 from .factorization import factorize, is_probable_prime
 from .rationals import format_rational, parse_rational
 
@@ -277,11 +277,11 @@ def reduce_mod_p(C: Curve, P: Point, p: int) -> tuple[CurveFp, Optional[tuple[in
     p must be odd and divide neither den(A), den(B) nor the numerator of
     the discriminant (the primes `good_primes` returns); no integral model
     is taken. Points with p in a denominator reduce to the point at
-    infinity. Raises BadReduction at any other p (p = 2 always).
+    infinity. Raises ValueError at any other p (p = 2 always).
     """
     require_on_curve(C, P)
     if _bad_part(C) % p == 0:
-        raise BadReduction(f"p={p} divides 2, a denominator of A or B, or the discriminant")
+        raise ValueError(f"p={p} divides 2, a denominator of A or B, or the discriminant")
     cfp = _curve_mod(C, p)
     return cfp, cfp.reduce(P)
 

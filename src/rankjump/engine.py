@@ -48,6 +48,10 @@ from .rationals import format_rational, is_rational_square, iter_rationals, rat_
 DEFAULT_SCAN_TOL = Decimal("1e-4")
 
 
+def _curve_json(C: Curve) -> dict:
+    return {"A": format_rational(C.A), "B": format_rational(C.B)}
+
+
 @dataclass(frozen=True)
 class WitnessCertificate:
     family_id: str
@@ -65,7 +69,7 @@ class WitnessCertificate:
         return {
             "family_id": self.family_id,
             "param": format_rational(self.param),
-            "curve": {"A": format_rational(self.curve.A), "B": format_rational(self.curve.B)},
+            "curve": _curve_json(self.curve),
             "section_points": [str(P) for P in self.section_points],
             "witness": str(self.witness),
             "heights": [] if self.gram is None else [h.to_json() for h in self.gram.heights],
@@ -279,6 +283,7 @@ def neron_check(f: Family, bound: int, tol=DEFAULT_SCAN_TOL) -> NeronCheckReport
     if bound < 1:
         raise ValueError("bound must be >= 1")
     tol_d = tolerance(tol)
+    gram_tol = _gram_tol(tol_d)
     certified = 0
     inconclusive: list[Fraction] = []
     dependent: list[tuple[Fraction, tuple[int, ...]]] = []
@@ -291,7 +296,7 @@ def neron_check(f: Family, bound: int, tol=DEFAULT_SCAN_TOL) -> NeronCheckReport
             continue
         sampled += 1
         # Sections that meet at lam are dependent; only the relation search applies.
-        if len(set(pts)) == len(pts) and gram_certify(C, pts, _gram_tol(tol_d)).certified:
+        if len(set(pts)) == len(pts) and gram_certify(C, pts, gram_tol).certified:
             certified += 1
             continue
         rel = small_relation_search(C, pts, 12)
@@ -322,10 +327,7 @@ class BillingWitness:
             "x0": format_rational(self.x0),
             "s": format_rational(self.s),
             "point": str(self.point),
-            "twist_curve": {
-                "A": format_rational(self.twist_curve.A),
-                "B": format_rational(self.twist_curve.B),
-            },
+            "twist_curve": _curve_json(self.twist_curve),
         }
 
 
@@ -355,7 +357,7 @@ class BillingCertificate:
             "f2_rank": len(self.classes),
         }
         return {
-            "curve": {"A": format_rational(self.curve.A), "B": format_rational(self.curve.B)},
+            "curve": _curve_json(self.curve),
             "r": self.r,
             "classes": list(self.classes),
             "witnesses": [w.to_json() for w in self.witnesses],

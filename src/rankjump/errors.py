@@ -2,27 +2,17 @@
 
 
 class RankJumpError(Exception):
-    """Base class for all errors raised by this library."""
+    """Base class for the library's own outcomes and refusals.
 
-
-class ZeroInput(RankJumpError):
-    """An operation that needs a nonzero integer got zero."""
-
-
-class UnitClass(RankJumpError):
-    """A square class equal to 1 where a nontrivial class is required."""
+    A subclass names an outcome on well-formed input that a caller may
+    handle, or a refusal that a command reports.  A malformed argument
+    (zero where a nonzero value is needed, a wrong degree, an empty
+    collection, a point off the stated equation) raises ValueError.
+    """
 
 
 class PoleAtPoint(RankJumpError):
     """A rational function was evaluated where its denominator vanishes."""
-
-
-class WrongDegree(RankJumpError):
-    """A polynomial of the wrong degree was supplied."""
-
-
-class NotMonic(RankJumpError):
-    """A monic polynomial was required."""
 
 
 class SingularCurve(RankJumpError):
@@ -33,28 +23,12 @@ class PointNotOnCurve(RankJumpError):
     """A point does not satisfy the curve equation it was used with."""
 
 
-class BadReduction(RankJumpError):
-    """Reduction mod p was requested at a prime dividing the discriminant."""
-
-
 class ToleranceUnreachable(RankJumpError):
     """The doubling depth needed for the requested tolerance exceeds the cap."""
 
 
-class EmptyInput(RankJumpError):
-    """A nonempty collection was required."""
-
-
 class DegenerateFiber(RankJumpError):
     """The fiber at the requested parameter is singular or undefined."""
-
-
-class NotOnTotalSpace(RankJumpError):
-    """Claimed total-space coordinates do not satisfy the family equation."""
-
-
-class LineAtInfinity(RankJumpError):
-    """x + y = 0 on the cubic pencil: the point maps to the zero section."""
 
 
 class SearchExhausted(RankJumpError):

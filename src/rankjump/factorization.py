@@ -22,8 +22,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import UnitClass, ZeroInput
-
 # Witnesses proving primality for every n < 3.3 * 10**24 (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -115,7 +113,7 @@ def squarefree_part(n: int) -> int:
     s names the class of n in Q*/(Q*)^2: -1 is a class, 1 the unit class.
     """
     if n == 0:
-        raise ZeroInput("squarefree_part(0)")
+        raise ValueError("squarefree_part(0)")
     s = -1 if n < 0 else 1
     for p, e in factorize(abs(n)).items():
         if e % 2 == 1:
@@ -126,7 +124,7 @@ def squarefree_part(n: int) -> int:
 def squarefree_part_of_rational(q: Fraction) -> int:
     """Square class of a nonzero rational: the class of num*den."""
     if q == 0:
-        raise ZeroInput("squarefree_part_of_rational(0)")
+        raise ValueError("squarefree_part_of_rational(0)")
     return squarefree_part(q.numerator * q.denominator)
 
 
@@ -150,10 +148,10 @@ def class_vectors(classes: Sequence[int]) -> tuple[list[int], list[int]]:
 
 def square_class_independent(classes: Sequence[int]) -> bool:
     """Linear independence over F2 of squarefree classes: no nonempty
-    subset has a rational square as its product.  Class 1 raises UnitClass.
+    subset has a rational square as its product.  Class 1 raises ValueError.
     """
     if 1 in classes:
-        raise UnitClass("class 1 is not allowed")
+        raise ValueError("class 1 is not allowed")
     vecs, _ = class_vectors(classes)
     pivots: dict[int, int] = {}  # top bit -> reduced vector
     for v in vecs:

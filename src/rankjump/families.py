@@ -41,8 +41,6 @@ from .curves import Curve, Point, on_curve
 from .errors import (
     DegenerateFiber,
     FamilyFormatError,
-    LineAtInfinity,
-    NotOnTotalSpace,
     PoleAtPoint,
     SingularCurve,
 )
@@ -152,7 +150,7 @@ class Family:
         for X, Y in self.sections:
             P = Point(X.eval(lam), Y.eval(lam))
             if not on_curve(C, P):
-                raise NotOnTotalSpace(f"section specializes off the fiber at {lam}")
+                raise ValueError(f"section specializes off the fiber at {lam}")
             out.append(P)
         return out
 
@@ -200,9 +198,9 @@ class _Twist(Family):
         self, C: Curve, lam: Fraction, d0: Fraction, x0: Fraction, y0: Fraction, v: Fraction
     ) -> TotalSpacePoint:
         """(x0, y0) at lam read in its fiber C, given d0 = d(lam) and v = p(x0):
-        X = d0 (x0 + s), Y = d0^2 y0.  Raises NotOnTotalSpace unless d0 y0^2 = v."""
+        X = d0 (x0 + s), Y = d0^2 y0.  Raises ValueError unless d0 y0^2 = v."""
         if d0 * y0 * y0 != v:
-            raise NotOnTotalSpace(
+            raise ValueError(
                 f"d({format_rational(lam)})*y0^2 != p(x0) at ({format_rational(x0)}, {format_rational(y0)})"
             )
         return TotalSpacePoint(lam, C, Point(d0 * (x0 + self.depressed[2]), d0 * d0 * y0))
@@ -217,16 +215,7 @@ class _Twist(Family):
             )
         elif not is_squarefree(self.p):
             out.append(_error("p-separable", "p must be separable: its discriminant vanishes"))
-        out += self._d_findings()
-        if self.generic_rank != 0:
-            out.append(
-                Finding(
-                    "warning",
-                    "generic-rank",
-                    "twist families carry no declared sections; nonzero generic rank cannot be witnessed",
-                )
-            )
-        return out
+        return out + self._d_findings()
 
     def _d_findings(self) -> list[Finding]:
         return []
@@ -396,14 +385,16 @@ class CubicPencil(Family):
 
     @classmethod
     def point(cls, lam: Fraction, x: Fraction, y: Fraction) -> TotalSpacePoint:
-        """Map (x, y) with x^3 + y^3 = -(lam^3+1) into the standardized fiber."""
+        """Map (x, y) with x^3 + y^3 = -(lam^3+1) into the standardized fiber.
+
+        Raises ValueError when x + y = 0 or (x, y) is off the surface."""
         lam, x, y = Fraction(lam), Fraction(x), Fraction(y)
         C = cls.fiber(lam)  # raises DegenerateFiber
         c = -(lam**3 + 1)
         if x + y == 0:
-            raise LineAtInfinity("x + y = 0 maps to the zero section's 3-torsion packet")
+            raise ValueError("x + y = 0 maps to the zero section's 3-torsion packet")
         if x**3 + y**3 != c:
-            raise NotOnTotalSpace(
+            raise ValueError(
                 f"x^3 + y^3 != -(lam^3+1) at ({format_rational(x)}, {format_rational(y)})"
             )
         return TotalSpacePoint(lam, C, Point(12 * c / (x + y), 36 * c * (x - y) / (x + y)))
@@ -441,14 +432,6 @@ class WeierstrassPencil(Family):
                         f"section {i} does not satisfy Y^2 = X^3 + A X + B identically",
                     )
                 )
-        if self.generic_rank is not None and self.generic_rank > len(self.sections):
-            out.append(
-                Finding(
-                    "warning",
-                    "generic-rank",
-                    "declared generic rank exceeds the number of declared sections",
-                )
-            )
         return out
 
     def fiber(self, lam: Fraction) -> Curve:
@@ -465,8 +448,25 @@ _KINDS = {
 
 
 def validate_family(f: Family) -> list[Finding]:
-    """Hypothesis checks; problems are returned as findings, never raised."""
-    return f.findings()
+    """Hypothesis checks; problems are returned as findings, never raised.
+
+    One rule holds for every kind: a declared generic rank above the
+    section count is a warning.  A certified rank lower bound counts at
+    most the live sections plus the witness, so it cannot exceed such a
+    rank and no scan row can claim a jump.
+    """
+    out = f.findings()
+    rank, n = f.declared_generic_rank, len(f.sections)
+    if rank > n:
+        out.append(
+            Finding(
+                "warning",
+                "generic-rank",
+                f"declared generic rank {rank} exceeds the section count {n}; a certified rank "
+                f"lower bound is at most {n} + 1 <= {rank}, so no scan row can claim a jump",
+            )
+        )
+    return out
 
 
 def require_valid(f: Family) -> None:

@@ -42,7 +42,7 @@ from .curves import (
     point_to_integral,
     require_on_curve,
 )
-from .errors import EmptyInput, ToleranceUnreachable
+from .errors import ToleranceUnreachable
 from .intervals import CTX, Interval, det_interval, ln_int_interval, negate
 
 # Doubling depth hard cap: coordinate digits grow like 4^N.
@@ -289,7 +289,7 @@ def gram_certify(C: Curve, points: Sequence[Point], tol) -> GramCertificate:
     tol_d = tolerance(tol)
     pts = list(points)
     if not pts:
-        raise EmptyInput("gram_certify needs at least one point")
+        raise ValueError("gram_certify needs at least one point")
     for P in pts:
         require_on_curve(C, P)
     if len({(P.x, P.y) for P in pts}) != len(pts):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from typing import Sequence
 
-from .errors import EmptyInput
 
 CTX = Context(prec=45, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1)
 
@@ -103,7 +102,7 @@ def det_interval(M: Sequence[Sequence[Interval]]) -> Interval:
     """
     k = len(M)
     if k == 0:
-        raise EmptyInput("empty matrix")
+        raise ValueError("empty matrix")
     if any(len(row) != k for row in M):
         raise ValueError("matrix is not square")
 

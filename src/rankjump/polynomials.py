@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import NotMonic, PoleAtPoint, WrongDegree
+from .errors import PoleAtPoint
 from .rationals import format_rational, parse_rational
 
 Poly = tuple[Fraction, ...]
@@ -105,12 +105,13 @@ def is_squarefree(p: Poly) -> bool:
 def depress_cubic(p: Poly) -> tuple[Fraction, Fraction, Fraction]:
     """Write a monic cubic as p(x) = q(x + s), q(X) = X^3 + A X + B.
 
-    Returns (A, B, s) with s = a2/3.  Raises WrongDegree / NotMonic.
+    Returns (A, B, s) with s = a2/3.  Raises ValueError unless p is a monic
+    cubic.
     """
     if degree(p) != 3:
-        raise WrongDegree(f"expected degree 3, got {degree(p)}")
+        raise ValueError(f"expected degree 3, got {degree(p)}")
     if p[3] != 1:
-        raise NotMonic("cubic must be monic")
+        raise ValueError("cubic must be monic")
     a0, a1, a2 = p[0], p[1], p[2]
     s = a2 / 3
     A = a1 - a2 * a2 / 3

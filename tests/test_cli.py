@@ -35,6 +35,25 @@ def test_validate_inseparable(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "family",
+    [{**CUBIC, "generic_rank": 1}, {**TWIST_LINEAR, "generic_rank": 2}, {**PENCIL, "generic_rank": 2}],
+    ids=["cubic_pencil", "twist_linear", "weierstrass_pencil"],
+)
+def test_validate_warns_generic_rank_above_sections(tmp_path, capsys, family):
+    # A certified lower bound counts at most the sections plus the witness,
+    # so it cannot exceed such a rank: every kind warns, and none refuses.
+    path = _write(tmp_path, "f.json", family)
+    assert main(["validate", path]) == 0
+    out = capsys.readouterr().out
+    n = len(family.get("sections", []))
+    rank = family["generic_rank"]
+    assert out == (
+        f"warning: [generic-rank] declared generic rank {rank} exceeds the section count {n}; "
+        f"a certified rank lower bound is at most {n} + 1 <= {rank}, so no scan row can claim a jump\n"
+    )
+
+
+@pytest.mark.parametrize(
     "data",
     [
         b"{nope",

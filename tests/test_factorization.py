@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_subset_square
-from rankjump.errors import UnitClass, ZeroInput
 from rankjump.factorization import (
     factorize,
     is_probable_prime,
@@ -51,8 +50,10 @@ def test_squarefree_examples():
     assert squarefree_part(1) == 1
     assert squarefree_part(-50) == -2
     assert squarefree_part(-1) == -1
-    with pytest.raises(ZeroInput):
+    with pytest.raises(ValueError, match=r"^squarefree_part\(0\)$"):
         squarefree_part(0)
+    with pytest.raises(ValueError, match=r"^squarefree_part_of_rational\(0\)$"):
+        squarefree_part_of_rational(Fraction(0))
 
 
 def test_squarefree_random_bulk():
@@ -83,7 +84,7 @@ def test_independence_examples():
 
 
 def test_unit_class_rejected():
-    with pytest.raises(UnitClass):
+    with pytest.raises(ValueError, match="^class 1 is not allowed$"):
         square_class_independent([squarefree_part(4)])
 
 

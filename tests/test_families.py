@@ -7,13 +7,7 @@ import pytest
 from oracles import brute_force_twist_fiber_first, brute_force_twist_total_first, twist_point
 from rankjump import families
 from rankjump.curves import on_curve, point
-from rankjump.errors import (
-    DegenerateFiber,
-    FamilyFormatError,
-    LineAtInfinity,
-    NotOnTotalSpace,
-    PoleAtPoint,
-)
+from rankjump.errors import DegenerateFiber, FamilyFormatError, PoleAtPoint
 from rankjump.factorization import squarefree_part_of_rational
 from rankjump.families import (
     CubicPencil,
@@ -100,7 +94,7 @@ def test_twist_witness_examples():
     assert w.witness == point(12, 36)
     w = _twist_point(TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1), 1, 1, 1)
     assert w.witness == point(2, 4)
-    with pytest.raises(NotOnTotalSpace):
+    with pytest.raises(ValueError, match=r"^d\(6\)\*y0\^2 != p\(x0\) at \(2, 2\)$"):
         _twist_point(TwistLinear(p=X3_MINUS_X), 6, 2, 2)
     # (1, 0) lies on every fiber's total space, but the fiber at t = 0 is degenerate
     with pytest.raises(DegenerateFiber):
@@ -123,9 +117,9 @@ def test_cubic_witness_examples():
     assert w.witness == point(Fraction(13, 3), Fraction(13, 6))
     w = CubicPencil.point(Fraction(3, 4), Fraction(5, 4), Fraction(-3, 2))
     assert on_curve(fiber_at(CubicPencil(), Fraction(3, 4)), w.witness)
-    with pytest.raises(LineAtInfinity):
+    with pytest.raises(ValueError, match=r"^x \+ y = 0 maps to the zero section's 3-torsion packet$"):
         CubicPencil.point(Fraction(2), Fraction(3), Fraction(-3))
-    with pytest.raises(NotOnTotalSpace):
+    with pytest.raises(ValueError, match=r"^x\^3 \+ y\^3 != -\(lam\^3\+1\) at \(1, 1\)$"):
         CubicPencil.point(Fraction(2), Fraction(1), Fraction(1))
     with pytest.raises(DegenerateFiber):
         CubicPencil.point(-1, 1, -1)  # ints are coerced; lam^3 + 1 = 0
@@ -163,7 +157,7 @@ def test_specialize_sections():
     assert PENCIL.sections_at(Fraction(2), C) == [point(2, 2)]
     assert PENCIL.sections_at(Fraction(0), fiber_at(PENCIL, Fraction(0))) == [point(0, 0)]
     # a section checked against another parameter's fiber is rejected
-    with pytest.raises(NotOnTotalSpace):
+    with pytest.raises(ValueError, match="^section specializes off the fiber at 2$"):
         PENCIL.sections_at(Fraction(2), fiber_at(PENCIL, Fraction(3)))
     # section with a pole at lam = 0 on a fiber that is otherwise fine:
     # Y^2 = X^3 + lam^2 X - 1 with section (1/lam^2, 1/lam^3)
