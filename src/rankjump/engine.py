@@ -30,6 +30,7 @@ from .factorization import (
     class_vectors,
     factorize,
     square_class_independent,
+    squarefree_part,
     squarefree_part_of_rational,
 )
 from .families import (
@@ -180,12 +181,30 @@ class ScanReport:
         return [c.param for c in self.certificates if c.status == "certified"]
 
 
-def _certify_candidate(args) -> Optional[WitnessCertificate]:
-    f, w, tol = args
-    try:
-        return certify_fiber(f, w, tol)
-    except PoleAtPoint:
-        return None
+def _certify_param(args) -> tuple[Optional[WitnessCertificate], int, int]:
+    """One param's candidates in stream order: (kept certificate, torsion
+    witnesses, section poles).
+
+    certify_fiber runs until a candidate certifies; the report never keeps
+    a later candidate's certificate, so after that only its torsion status
+    counts.  No pole can follow: the sections depend only on the param.
+    """
+    f, ws, tol = args
+    kept: Optional[WitnessCertificate] = None
+    torsion = poles = 0
+    for w in ws:
+        if kept is not None and kept.status == "certified":
+            torsion += is_torsion(w.curve, w.witness)
+            continue
+        try:
+            cert = certify_fiber(f, w, tol)
+        except PoleAtPoint:
+            poles += 1
+            continue
+        torsion += cert.status == "torsion-witness"
+        if kept is None or cert.status == "certified":
+            kept = cert
+    return kept, torsion, poles
 
 
 def scan(
@@ -195,42 +214,37 @@ def scan(
     tol=DEFAULT_SCAN_TOL,
     jobs: int = 1,
 ) -> ScanReport:
-    """Certify every witness candidate and keep one certificate per param.
+    """Certify the witness candidates and keep one certificate per param.
 
     First certified wins; params never certified keep their first attempt
-    (status shows why).  Every candidate is attempted regardless of jobs,
-    so sequential and parallel runs produce identical reports.
+    (status shows why).  Each param's candidates are one unit of work, run
+    in stream order until one certifies; later ones are only screened for
+    torsion.  The tally depends only on the order within a param, so
+    sequential and parallel runs produce identical reports.
     """
     require_valid(f)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     tol_d = tolerance(tol)
     points, stats = witness_stream(f, bound, mode)
+    by_param: dict[Fraction, list[TotalSpacePoint]] = {}
+    for w in points:
+        by_param.setdefault(w.param, []).append(w)
+    tasks = [(f, ws, tol_d) for ws in by_param.values()]
 
-    if jobs > 1 and len(points) > 1:
+    if jobs > 1 and len(tasks) > 1:
         import multiprocessing as mp
 
-        with mp.Pool(min(jobs, len(points))) as pool:
-            results = pool.map(_certify_candidate, [(f, w, tol_d) for w in points])
+        with mp.Pool(min(jobs, len(tasks))) as pool:
+            results = pool.map(_certify_param, tasks)
     else:
-        results = [_certify_candidate((f, w, tol_d)) for w in points]
+        results = [_certify_param(t) for t in tasks]
 
-    kept: dict[Fraction, WitnessCertificate] = {}
-    torsion_count = 0
-    degenerate_cert = 0
-    for cert in results:
-        if cert is None:  # pole of a section coordinate at this parameter
-            degenerate_cert += 1
-            continue
-        if cert.status == "torsion-witness":
-            torsion_count += 1
-        prev = kept.get(cert.param)
-        if prev is None:
-            kept[cert.param] = cert
-        elif prev.status != "certified" and cert.status == "certified":
-            kept[cert.param] = cert
+    kept = [cert for cert, _, _ in results if cert is not None]
+    torsion_count = sum(n for _, n, _ in results)
+    degenerate_cert = sum(n for _, _, n in results)
 
-    ordered = sorted(kept.values(), key=lambda c: (rat_height(c.param), c.param))
+    ordered = sorted(kept, key=lambda c: (rat_height(c.param), c.param))
     certified = sum(1 for c in ordered if c.status == "certified")
     return ScanReport(
         family_id=f.family_id,
@@ -371,6 +385,10 @@ class BillingCertificate:
         _require(
             len(self.classes) == len(self.witnesses) == self.r == self.rank_bound,
             "class, witness, r and rank_bound counts disagree",
+        )
+        _require(
+            all(c not in (0, 1) and squarefree_part(c) == c for c in self.classes),
+            "a class is 0, 1 or not squarefree",
         )
         _require(square_class_independent(self.classes), "classes are not independent")
         A, B = self.curve.A, self.curve.B

@@ -103,12 +103,8 @@ def defect_bounds(C: Curve) -> tuple[Decimal, Decimal]:
     """
     if C.A.denominator != 1 or C.B.denominator != 1:
         raise ValueError("defect bounds need an integral model")
-    A, B = int(C.A), int(C.B)
-    c1 = max(1 + 2 * abs(A) + 8 * abs(B) + A * A, 4 * (1 + abs(A) + abs(B)))
-    s_v, s_u = (sum(map(abs, f + g)) for f, g in (v7_cofactors(A, B), u7_cofactors(A, B)))
-    alpha = ln_int_interval(max(s_v, s_u)).hi
-    beta = ln_int_interval(c1).hi
-    return alpha, beta
+    m = _Model(C)
+    return m.alpha, m.beta
 
 
 class XChain:
@@ -159,7 +155,14 @@ class _Model:
 
     def __init__(self, C: Curve):
         self.curve, self.u = integral_model(C)
-        self.alpha, self.beta = defect_bounds(self.curve)
+        A, B = int(self.curve.A), int(self.curve.B)
+        c1 = max(1 + 2 * abs(A) + 8 * abs(B) + A * A, 4 * (1 + abs(A) + abs(B)))
+        s_v, s_u = (sum(map(abs, f + g)) for f, g in (v7_cofactors(A, B), u7_cofactors(A, B)))
+        S = max(s_v, s_u)
+        self.alpha = ln_int_interval(S).hi
+        self.beta = ln_int_interval(c1).hi
+        # alpha >= ln S >= (s_bits - 1) ln 2: gram_certify's skip rule
+        self.s_bits = S.bit_length()
 
     def chain(self, P: Point) -> Optional[XChain]:
         """P's doubling chain on the integral model, or None when P is
@@ -285,6 +288,9 @@ def gram_certify(C: Curve, points: Sequence[Point], tol) -> GramCertificate:
     positive (early success), every chain reaches the depth matching tol,
     or a chain hits the coordinate budget.  Every intermediate enclosure
     is rigorous, so stopping early never produces a false certificate.
+
+    One point's live chain with 3 bits(H) <= bits(S) - 2 (alpha = ln S) steps
+    without an enclosure: then 3 ln H <= alpha - ln 2, so that det.lo < 0.
     """
     tol_d = tolerance(tol)
     pts = list(points)
@@ -311,15 +317,6 @@ def gram_certify(C: Curve, points: Sequence[Point], tol) -> GramCertificate:
             chains[(i, j)] = m.chain(add(C, pts[i], pts[j]))
 
     while True:
-        h = {key: m.interval(ch) for key, ch in chains.items()}
-        M = [[None] * k for _ in range(k)]
-        for i in range(k):
-            M[i][i] = h[(i, i)]
-            for j in range(i + 1, k):
-                M[i][j] = M[j][i] = (h[(i, j)] - h[(i, i)] - h[(j, j)]).div_exact_int(2)
-        det = det_interval(M)
-        if det.strictly_positive():
-            break
         live = [
             ch
             for ch in chains.values()
@@ -327,7 +324,17 @@ def gram_certify(C: Curve, points: Sequence[Point], tol) -> GramCertificate:
             and ch.depth < target
             and ch.size_bits() * 4 <= CHAIN_BUDGET_BITS
         ]
-        if not live:
+        if k == 1 and live and 3 * live[0].size_bits() <= m.s_bits - 2:
+            live[0].step()
+            continue
+        h = {key: m.interval(ch) for key, ch in chains.items()}
+        M = [[None] * k for _ in range(k)]
+        for i in range(k):
+            M[i][i] = h[(i, i)]
+            for j in range(i + 1, k):
+                M[i][j] = M[j][i] = (h[(i, j)] - h[(i, i)] - h[(j, j)]).div_exact_int(2)
+        det = det_interval(M)
+        if det.strictly_positive() or not live:
             break
         for ch in live:
             ch.step()

@@ -5,6 +5,11 @@ definitions (full chord-tangent group law with y-coordinates, brute-force
 enumerations) so tests can cross-check the library's optimized paths
 without sharing code with them.
 
+The reference_* functions are the exception: they are the library's
+earlier loops, which did work that cannot change the output, kept as
+written so tests can show that skipping it changes no byte.  They call
+the library's own building blocks and import them when called.
+
 Run as a script to print the doubling-limit height oracle for the
 benchmark point (0, 4) on y^2 = x^3 - 16x + 16 at depth 12.
 """
@@ -166,6 +171,105 @@ def perfect_square_root(n: int):
         return None
     r = isqrt(n)
     return r if r * r == n else None
+
+
+def reference_gram_certify(C, points, tol):
+    """gram_certify's refinement loop with every round's enclosures: each
+    round encloses every chain and takes the determinant.
+
+    Returns (certificate, number of rounds).  Reads CHAIN_BUDGET_BITS from
+    rankjump.heights at call time, so a patched budget applies here too.
+    """
+    from rankjump import heights
+    from rankjump.curves import add
+    from rankjump.errors import ToleranceUnreachable
+    from rankjump.intervals import det_interval
+
+    pts = list(points)
+    m = heights._Model(C)
+    try:
+        target = heights.depth_for_tolerance(m.alpha, m.beta, heights.tolerance(tol))
+    except ToleranceUnreachable:
+        target = heights.DEPTH_CAP
+    k = len(pts)
+    chains = {}
+    for i in range(k):
+        chains[(i, i)] = m.chain(pts[i])
+        for j in range(i + 1, k):
+            chains[(i, j)] = m.chain(add(C, pts[i], pts[j]))
+    rounds = 0
+    while True:
+        rounds += 1
+        h = {key: m.interval(ch) for key, ch in chains.items()}
+        M = [[None] * k for _ in range(k)]
+        for i in range(k):
+            M[i][i] = h[(i, i)]
+            for j in range(i + 1, k):
+                M[i][j] = M[j][i] = (h[(i, j)] - h[(i, i)] - h[(j, j)]).div_exact_int(2)
+        det = det_interval(M)
+        if det.strictly_positive():
+            break
+        live = [
+            ch
+            for ch in chains.values()
+            if ch is not None
+            and ch.depth < target
+            and ch.size_bits() * 4 <= heights.CHAIN_BUDGET_BITS
+        ]
+        if not live:
+            break
+        for ch in live:
+            ch.step()
+    cert = heights.GramCertificate(
+        points=tuple(pts),
+        entries=tuple(tuple(row) for row in M),
+        det_lower_bound=det.lo,
+        certified=det.strictly_positive(),
+        heights=tuple(heights._estimate(h[(i, i)]) for i in range(k)),
+    )
+    return cert, rounds
+
+
+def reference_scan(f, bound, mode, tol):
+    """engine.scan's serial tally before per-param routing: every candidate
+    runs certify_fiber, and the results are tallied in stream order."""
+    from rankjump.engine import ScanReport, certify_fiber
+    from rankjump.errors import PoleAtPoint
+    from rankjump.families import witness_stream
+    from rankjump.heights import tolerance
+    from rankjump.intervals import CTX
+    from rankjump.rationals import rat_height
+
+    tol_d = tolerance(tol)
+    points, stats = witness_stream(f, bound, mode)
+    kept = {}
+    torsion_count = degenerate_cert = 0
+    for w in points:
+        try:
+            cert = certify_fiber(f, w, tol_d)
+        except PoleAtPoint:
+            degenerate_cert += 1
+            continue
+        if cert.status == "torsion-witness":
+            torsion_count += 1
+        prev = kept.get(cert.param)
+        if prev is None or (prev.status != "certified" and cert.status == "certified"):
+            kept[cert.param] = cert
+    ordered = sorted(kept.values(), key=lambda c: (rat_height(c.param), c.param))
+    certified = sum(1 for c in ordered if c.status == "certified")
+    return ScanReport(
+        family_id=f.family_id,
+        bound=bound,
+        mode=mode,
+        tol=CTX.to_sci_string(tol_d),
+        certificates=tuple(ordered),
+        candidates=len(points),
+        degenerate=stats.degenerate_skipped + degenerate_cert,
+        torsion_witness=torsion_count,
+        certified=certified,
+        inconclusive=len(ordered) - certified,
+        distinct_params=len(ordered),
+    )
 
 
 if __name__ == "__main__":

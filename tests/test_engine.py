@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -6,14 +7,22 @@ from pathlib import Path
 
 import pytest
 
+from oracles import reference_scan
 from rankjump.curves import curve, is_torsion, mul, on_curve, point
 from rankjump.engine import (
+    DEFAULT_SCAN_TOL,
     billing_build,
     certify_fiber,
     neron_check,
     scan,
 )
-from rankjump.errors import FamilyFormatError, PointNotOnCurve, SearchExhausted
+from rankjump.errors import (
+    FamilyFormatError,
+    InvalidCertificate,
+    PointNotOnCurve,
+    PoleAtPoint,
+    SearchExhausted,
+)
 from rankjump.families import (
     CubicPencil,
     TotalSpacePoint,
@@ -210,7 +219,9 @@ def test_scan_deterministic_and_jobs_equal():
     assert a == c
 
 
-def test_scan_starts_at_most_one_worker_per_candidate(monkeypatch):
+def _serial_pool(monkeypatch) -> list:
+    """Patch multiprocessing.Pool to run in-process; returns the list of
+    pool sizes asked for."""
     import multiprocessing
 
     sizes = []
@@ -231,12 +242,91 @@ def test_scan_starts_at_most_one_worker_per_candidate(monkeypatch):
             return [fn(x) for x in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return sizes
+
+
+def test_scan_starts_at_most_one_worker_per_param(monkeypatch):
+    sizes = _serial_pool(monkeypatch)
     f = TwistLinear(p=X3_MINUS_X)
-    n = len(witness_stream(f, 2, "total-first")[0])
+    pts = witness_stream(f, 2, "total-first")[0]
+    params = len({w.param for w in pts})
     serial = scan(f, 2, "total-first")
-    assert n > 1 and serial.candidates == n
-    assert scan(f, 2, "total-first", jobs=n + 5) == serial
-    assert sizes == [n]
+    assert 2 < params < len(pts) and serial.candidates == len(pts)
+    for jobs in (2, len(pts) + 5):
+        assert scan(f, 2, "total-first", jobs=jobs) == serial
+    assert sizes == [2, params]
+
+
+# Y^2 = X^3 + lam^2 X - 1 with section (1/lam^2, 1/lam^3): the fiber at
+# lam = 0 is fine but the section has a pole there.
+POLE_PENCIL = WeierstrassPencil(
+    A=ratfunc([0, 0, 1]),
+    B=ratfunc([-1]),
+    sections=((ratfunc([1], [0, 0, 1]), ratfunc([1], [0, 0, 0, 1])),),
+)
+
+# 84 candidates on 68 params; at t = 1 of t y^2 = x^3 + 8, the torsion
+# witness (-2, 0) after (1, 3) certified; a section pole at lam = 0.
+ROUTING_CASES = {
+    "lin": (TwistLinear(p=X3_MINUS_X), 3, "total-first"),
+    "torsion": (TwistLinear(p=poly([8, 0, 0, 1])), 2, "fiber-first"),
+    "pole": (POLE_PENCIL, 2, "fiber-first"),
+}
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Wrap rankjump.engine.<name>; returns the list its calls append to."""
+    import rankjump.engine
+
+    calls = []
+    fn = getattr(rankjump.engine, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(rankjump.engine, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ROUTING_CASES)
+def test_scan_per_param_routing_matches_every_candidate_reference(monkeypatch, case):
+    f, bound, mode = ROUTING_CASES[case]
+    tol = DEFAULT_SCAN_TOL
+    ref = reference_scan(f, bound, mode, tol).to_json()
+    grams = _counting(monkeypatch, "gram_certify")
+    # scan attempts each param's candidates up to its first certified one
+    pts, stats = witness_stream(f, bound, mode)
+    done, needed, skipped = set(), [], []
+    for w in pts:
+        if w.param in done:
+            skipped.append(w)
+            continue
+        needed.append(w)
+        try:
+            if certify_fiber(f, w, tol).status == "certified":
+                done.add(w.param)
+        except PoleAtPoint:
+            pass
+    needed_grams = len(grams)
+    certifies = _counting(monkeypatch, "certify_fiber")
+    _serial_pool(monkeypatch)
+    for jobs in (1, 2):
+        grams.clear()
+        certifies.clear()
+        assert scan(f, bound, mode, tol, jobs).to_json() == ref
+        assert len(certifies) == len(needed)
+        assert len(grams) == needed_grams
+    assert skipped
+    st = ref["stats"]
+    if case == "lin":
+        assert (st["candidates"], st["distinct_params"]) == (84, 68)
+        assert needed_grams == len(needed)  # one Gram per attempted candidate
+    elif case == "torsion":
+        assert st["torsion_witness"] > 0 and st["certified"] > 0
+        assert any(is_torsion(w.curve, w.witness) for w in skipped)
+    else:
+        assert st["degenerate"] > stats.degenerate_skipped and st["certified"] > 0
 
 
 def test_certificate_soundness_invariant():
@@ -305,15 +395,8 @@ def test_neron_check_rejects_families_without_sections(f):
 
 
 def test_scan_skips_section_poles():
-    # Y^2 = X^3 + lam^2 X - 1 with section (1/lam^2, 1/lam^3): the fiber at
-    # lam = 0 is fine but the section has a pole there; the candidate is
-    # skipped and counted, not crashed on.
-    pole_pencil = WeierstrassPencil(
-        A=ratfunc([0, 0, 1]),
-        B=ratfunc([-1]),
-        sections=((ratfunc([1], [0, 0, 1]), ratfunc([1], [0, 0, 0, 1])),),
-    )
-    rep = scan(pole_pencil, 1, "fiber-first")
+    # the candidate at lam = 0 is skipped and counted, not crashed on
+    rep = scan(POLE_PENCIL, 1, "fiber-first")
     assert all(c.param != 0 for c in rep.certificates)
     assert rep.degenerate >= 1
 
@@ -411,6 +494,14 @@ try:
 except InvalidCertificate as exc:
     print("rejected:", exc)
 """
+
+
+@pytest.mark.parametrize("classes", [(1, 15), (0, 15), (24, 15)])
+def test_revalidate_rejects_unit_zero_and_non_squarefree_classes(classes):
+    cert = billing_build(X3_MINUS_X, 2, 10)
+    assert cert.classes == (6, 15)
+    with pytest.raises(InvalidCertificate, match="^a class is 0, 1 or not squarefree$"):
+        dataclasses.replace(cert, classes=classes).revalidate()
 
 
 def test_revalidate_raises_under_optimize():

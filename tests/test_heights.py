@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import doubling_limit_height
-from rankjump.curves import INFINITY, curve, integral_model, mul, point
+from oracles import doubling_limit_height, reference_gram_certify
+from rankjump import heights
+from rankjump.curves import INFINITY, curve, integral_model, is_torsion, mul, point
 from rankjump.errors import PointNotOnCurve, ToleranceUnreachable
 from rankjump.heights import (
     XChain,
@@ -170,6 +171,74 @@ def test_gram_two_independent_points():
         assert g.certified
     else:
         assert not g.certified
+
+
+def _random_singletons(seed: int, n: int) -> list:
+    """n seeded (curve, non-torsion point) pairs; A has up to 31 digits, so
+    bits(S) spans 18 to 509 on seed 7."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        x0 = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+        y0 = Fraction(rng.randint(1, 9), rng.choice((1, 1, 4, 27)))
+        e = rng.randint(0, 30)
+        A = Fraction(rng.randint(-(10**e), 10**e))
+        B = y0 * y0 - x0**3 - A * x0
+        if 4 * A**3 + 27 * B * B == 0:
+            continue
+        C, P = curve(A, B), point(x0, y0)
+        if not is_torsion(C, P):
+            out.append((C, P))
+    return out
+
+
+def _skip_cases():
+    # scan certifies to tol/10: 1e-5 at its default tol, 1e-6 at --tol 1e-5
+    cases = [(C, [P], tol) for C, P in _random_singletons(7, 30) for tol in ("1e-5", "1e-6")]
+    C, P = _random_singletons(11, 1)[0]
+    cases.append((C, [P], "1e-80"))  # beyond DEPTH_CAP: target is the cap
+    cases += [(curve(0, 1), [point(2, 3)], "1e-5"), (BENCH, [INFINITY], "1e-5")]  # torsion
+    return cases
+
+
+def _assert_skip_rule_matches_reference(monkeypatch, cases) -> int:
+    """Each case's certificate equals the every-round reference; returns the
+    number of rounds that skipped their enclosures."""
+    dets = []
+
+    def counted(M):
+        dets.append(M)
+        return det_interval(M)
+
+    monkeypatch.setattr(heights, "det_interval", counted)
+    skipped = 0
+    for C, pts, tol in cases:
+        dets.clear()
+        g = gram_certify(C, pts, Decimal(tol))
+        ref, rounds = reference_gram_certify(C, pts, Decimal(tol))
+        assert g == ref
+        assert g.to_json() == ref.to_json() and g.heights == ref.heights
+        assert 1 <= len(dets) <= rounds
+        skipped += rounds - len(dets)
+    return skipped
+
+
+def test_gram_skip_rule_matches_every_round_reference(monkeypatch):
+    cases = _skip_cases()
+    m = heights._Model(cases[-3][0])
+    with pytest.raises(ToleranceUnreachable):
+        depth_for_tolerance(m.alpha, m.beta, Decimal("1e-80"))
+    assert _assert_skip_rule_matches_reference(monkeypatch, cases) > 0
+
+
+def test_gram_skip_rule_at_chain_budget(monkeypatch):
+    # (2, 1/4) on 96 y^2 = x^3 - x: bits(S) = 68 and H has 8, 7, 21 bits at
+    # depths 0-2.  A 64-bit budget stops the chain at depth 2, still under
+    # the skip bound, so depths 0 and 1 skip and depth 2 fails to certify.
+    monkeypatch.setattr(heights, "CHAIN_BUDGET_BITS", 64)
+    C, P = curve(-(96**2), 0), point(192, 2304)
+    assert _assert_skip_rule_matches_reference(monkeypatch, [(C, [P], "1e-5")]) == 2
+    assert not gram_certify(C, [P], Decimal("1e-5")).certified
 
 
 def test_height_interval_contains_truth_across_depths():
