@@ -41,7 +41,7 @@ from .families import (
     require_valid,
     witness_stream,
 )
-from .heights import GramCertificate, gram_certify, tolerance
+from .heights import GramCertificate, gram_certify, model_of, tolerance, torsion_on
 from .intervals import CTX
 from .polynomials import Poly, poly_eval
 from .rationals import format_rational, is_rational_square, iter_rationals, rat_height
@@ -106,7 +106,9 @@ def _gram_tol(tol) -> Decimal:
     return CTX.divide(tolerance(tol), Decimal(10))
 
 
-def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> WitnessCertificate:
+def certify_fiber(
+    f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL, memo: Optional[dict] = None
+) -> WitnessCertificate:
     """Assemble and certify the point set {specialized sections} + {witness}
     on the candidate's fiber w.curve.
 
@@ -116,19 +118,28 @@ def certify_fiber(f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL) -> Witnes
     none).  Gram refinement may go down to tol/10; it stops at the first
     positive determinant, so most independent sets resolve well above that
     depth.
+
+    The torsion screens and the Gram steps run on the fiber's integral
+    model (heights.model_of).  Candidates certified with one memo dict
+    compute each torsion status and each Gram outcome once per integral
+    model and integral points: (x, y) -> (u^2 x, u^3 y) preserves torsion,
+    canonical heights and the group law, so a shared answer is the one
+    this fiber would compute.  The certificate keeps its own curve,
+    sections and witness.
     """
     gram_tol = _gram_tol(tol)
     declared = f.declared_generic_rank
     C = w.curve
     sections = f.sections_at(w.param, C)
-    live_sections = [P for P in sections if not is_torsion(C, P)]
-    torsion = is_torsion(C, w.witness)  # raises PointNotOnCurve off the fiber
+    model = model_of(C, memo)
+    live_sections = [P for P in sections if not torsion_on(model, C, P)]
+    torsion = torsion_on(model, C, w.witness)  # raises PointNotOnCurve off the fiber
     # Sections may meet at this parameter; a bound from distinct points is sound.
     pts = list(dict.fromkeys(live_sections + ([] if torsion else [w.witness])))
-    gram = gram_certify(C, pts, gram_tol) if pts else None
+    gram = gram_certify(C, pts, gram_tol, model) if pts else None
     if not torsion and not gram.certified and len(pts) > 1:
         pts = [w.witness]
-        gram = gram_certify(C, pts, gram_tol)
+        gram = gram_certify(C, pts, gram_tol, model)
     lb = len(pts) if gram is not None and gram.certified else 0
     if torsion:
         status = "torsion-witness"
@@ -181,7 +192,9 @@ class ScanReport:
         return [c.param for c in self.certificates if c.status == "certified"]
 
 
-def _certify_param(args) -> tuple[Optional[WitnessCertificate], int, int]:
+def _certify_param(
+    f: Family, ws: list[TotalSpacePoint], tol: Decimal, memo: dict
+) -> tuple[Optional[WitnessCertificate], int, int]:
     """One param's candidates in stream order: (kept certificate, torsion
     witnesses, section poles).
 
@@ -189,15 +202,14 @@ def _certify_param(args) -> tuple[Optional[WitnessCertificate], int, int]:
     a later candidate's certificate, so after that only its torsion status
     counts.  No pole can follow: the sections depend only on the param.
     """
-    f, ws, tol = args
     kept: Optional[WitnessCertificate] = None
     torsion = poles = 0
     for w in ws:
         if kept is not None and kept.status == "certified":
-            torsion += is_torsion(w.curve, w.witness)
+            torsion += torsion_on(model_of(w.curve, memo), w.curve, w.witness)
             continue
         try:
-            cert = certify_fiber(f, w, tol)
+            cert = certify_fiber(f, w, tol, memo)
         except PoleAtPoint:
             poles += 1
             continue
@@ -205,6 +217,15 @@ def _certify_param(args) -> tuple[Optional[WitnessCertificate], int, int]:
         if kept is None or cert.status == "certified":
             kept = cert
     return kept, torsion, poles
+
+
+def _certify_batch(args) -> list[tuple[Optional[WitnessCertificate], int, int]]:
+    """_certify_param over a batch of param groups with one memo, which
+    holds an entry per distinct integral key the batch meets and goes when
+    the batch ends."""
+    f, groups, tol = args
+    memo: dict = {}
+    return [_certify_param(f, ws, tol, memo) for ws in groups]
 
 
 def scan(
@@ -217,10 +238,14 @@ def scan(
     """Certify the witness candidates and keep one certificate per param.
 
     First certified wins; params never certified keep their first attempt
-    (status shows why).  Each param's candidates are one unit of work, run
-    in stream order until one certifies; later ones are only screened for
-    torsion.  The tally depends only on the order within a param, so
-    sequential and parallel runs produce identical reports.
+    (status shows why).  Each param's candidates are run in stream order
+    until one certifies; later ones are only screened for torsion.  The
+    params go in contiguous batches: one batch when jobs = 1, else about
+    four per worker (pool.map's own chunking), one pool.map item each.  A
+    batch's candidates share one memo (see certify_fiber), so isomorphic
+    fibers are certified once per batch.  A memo only saves work and never
+    changes an answer, and the tally depends only on the order within a
+    param, so sequential and parallel runs produce identical reports.
     """
     require_valid(f)
     if jobs < 1:
@@ -230,15 +255,19 @@ def scan(
     by_param: dict[Fraction, list[TotalSpacePoint]] = {}
     for w in points:
         by_param.setdefault(w.param, []).append(w)
-    tasks = [(f, ws, tol_d) for ws in by_param.values()]
+    groups = list(by_param.values())
+    # about four batches per worker, as pool.map would chunk the groups
+    size = max(1, len(groups) if jobs == 1 else -(-len(groups) // (4 * jobs)))
+    batches = [(f, groups[i : i + size], tol_d) for i in range(0, len(groups), size)]
 
-    if jobs > 1 and len(tasks) > 1:
+    if len(batches) > 1:
         import multiprocessing as mp
 
-        with mp.Pool(min(jobs, len(tasks))) as pool:
-            results = pool.map(_certify_param, tasks)
+        with mp.Pool(min(jobs, len(batches))) as pool:
+            per_batch = pool.map(_certify_batch, batches)
     else:
-        results = [_certify_param(t) for t in tasks]
+        per_batch = [_certify_batch(b) for b in batches]
+    results = [r for rs in per_batch for r in rs]
 
     kept = [cert for cert, _, _ in results if cert is not None]
     torsion_count = sum(n for _, n, _ in results)

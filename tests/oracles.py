@@ -181,22 +181,22 @@ def reference_gram_certify(C, points, tol):
     rankjump.heights at call time, so a patched budget applies here too.
     """
     from rankjump import heights
-    from rankjump.curves import add
+    from rankjump.curves import add, point_to_integral
     from rankjump.errors import ToleranceUnreachable
     from rankjump.intervals import det_interval
 
     pts = list(points)
-    m = heights._Model(C)
+    m, u = heights.model_of(C)
     try:
-        target = heights.depth_for_tolerance(m.alpha, m.beta, heights.tolerance(tol))
+        target = heights.depth_for_tolerance(*m.defects()[:2], heights.tolerance(tol))
     except ToleranceUnreachable:
         target = heights.DEPTH_CAP
     k = len(pts)
     chains = {}
     for i in range(k):
-        chains[(i, i)] = m.chain(pts[i])
+        chains[(i, i)] = m.chain(point_to_integral(pts[i], u))
         for j in range(i + 1, k):
-            chains[(i, j)] = m.chain(add(C, pts[i], pts[j]))
+            chains[(i, j)] = m.chain(point_to_integral(add(C, pts[i], pts[j]), u))
     rounds = 0
     while True:
         rounds += 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import oracle_add, oracle_mul
 from rankjump.curves import (
@@ -20,6 +21,7 @@ from rankjump.curves import (
     parse_point,
     point,
     point_to_integral,
+    SCREEN_PRIME_START,
     reduce_mod_p,
     small_relation_search,
     torsion_order,
@@ -295,6 +297,52 @@ def test_torsion_screen_random_non_torsion():
             cfp, Rb = reduce_mod_p(C, R, good_primes(C, 1, 1009)[0])
             confirmed += Rb is not None and cfp.order(Rb) is not None
     assert confirmed > 0
+
+
+# heights.model_of shares torsion answers between isomorphic curves.  That
+# rests on torsion_order giving the same answer on C and on its integral
+# model, even where the two screens reduce at different primes.
+
+_TORSION_POINTS = _torsion_points()
+# 1/1009 and 1/1013 put a screen prime into C's denominators; the
+# integral model clears it again.
+_SCALES = (Fraction(1, 1009), Fraction(3, 1013), Fraction(2, 3), Fraction(1, 6))
+
+
+@st.composite
+def _non_integral_cases(draw):
+    """(C, P) with C not integral: a Tate point or one of its multiples, or
+    a P + b Q on a random two-point curve, rescaled by u."""
+    if draw(st.booleans()):
+        C, P = draw(st.sampled_from(_TORSION_POINTS))
+    else:
+        C, P, Q = _random_two_point_curve(random.Random(draw(st.integers(0, 2**32))))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        P = add(C, mul(C, a, P), mul(C, b, Q))
+    u = draw(st.sampled_from(_SCALES) | st.fractions(Fraction(1, 12), 12, max_denominator=12))
+    C, P = _rescale(C, P, u)
+    assume(C.A.denominator > 1 or C.B.denominator > 1)
+    return C, P
+
+
+@given(_non_integral_cases())
+@settings(max_examples=200, deadline=None)
+def test_torsion_order_is_invariant_under_the_integral_model(case):
+    C, P = case
+    Cm, u = integral_model(C)
+    assert torsion_order(Cm, point_to_integral(P, u)) == torsion_order(C, P)
+
+
+def test_integral_model_moves_the_screen_prime_and_keeps_the_order():
+    orders = set()
+    for C, P in _TORSION_POINTS[::2] + [(curve(-36, 0), point(12, 36))]:
+        C, P = _rescale(C, P, Fraction(1, 1009))
+        Cm, u = integral_model(C)
+        assert good_primes(C, 1, SCREEN_PRIME_START) != good_primes(Cm, 1, SCREEN_PRIME_START)
+        want = torsion_order(Cm, point_to_integral(P, u))
+        assert torsion_order(C, P) == want
+        orders.add(want)
+    assert None in orders and len(orders) > 5
 
 
 def test_reduce_mod_p_non_integral_curve():

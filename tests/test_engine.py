@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from oracles import reference_scan
-from rankjump.curves import curve, is_torsion, mul, on_curve, point
+from rankjump import heights
+from rankjump.curves import curve, is_torsion, mul, on_curve, point, point_to_integral
 from rankjump.engine import (
     DEFAULT_SCAN_TOL,
     billing_build,
@@ -33,7 +34,13 @@ from rankjump.families import (
     fiber_at,
     witness_stream,
 )
-from rankjump.heights import canonical_height, gram_certify, height_pairing
+from rankjump.heights import (
+    canonical_height,
+    depth_for_tolerance,
+    gram_certify,
+    height_pairing,
+    model_of,
+)
 from rankjump.polynomials import poly, ratfunc
 
 X3_MINUS_X = poly([0, -1, 0, 1])
@@ -219,12 +226,12 @@ def test_scan_deterministic_and_jobs_equal():
     assert a == c
 
 
-def _serial_pool(monkeypatch) -> list:
+def _serial_pool(monkeypatch) -> tuple[list, list]:
     """Patch multiprocessing.Pool to run in-process; returns the list of
-    pool sizes asked for."""
+    pool sizes asked for and the list of item lists mapped."""
     import multiprocessing
 
-    sizes = []
+    sizes, mapped = [], []
 
     class SerialPool:
         """multiprocessing.Pool run in-process: records its size, maps serially."""
@@ -239,22 +246,37 @@ def _serial_pool(monkeypatch) -> list:
             return False
 
         def map(self, fn, items, chunksize=None):
-            return [fn(x) for x in items]
+            mapped.append(list(items))
+            return [fn(x) for x in mapped[-1]]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    return sizes
+    return sizes, mapped
+
+
+def _param_groups(f, bound, mode) -> list:
+    """The stream's candidates grouped by param, in stream order."""
+    groups: dict = {}
+    for w in witness_stream(f, bound, mode)[0]:
+        groups.setdefault(w.param, []).append(w)
+    return list(groups.values())
 
 
 def test_scan_starts_at_most_one_worker_per_param(monkeypatch):
-    sizes = _serial_pool(monkeypatch)
+    sizes, mapped = _serial_pool(monkeypatch)
     f = TwistLinear(p=X3_MINUS_X)
-    pts = witness_stream(f, 2, "total-first")[0]
-    params = len({w.param for w in pts})
-    serial = scan(f, 2, "total-first")
-    assert 2 < params < len(pts) and serial.candidates == len(pts)
-    for jobs in (2, len(pts) + 5):
-        assert scan(f, 2, "total-first", jobs=jobs) == serial
-    assert sizes == [2, params]
+    groups = _param_groups(f, 3, "total-first")
+    serial = scan(f, 3, "total-first")
+    assert not sizes and 8 < len(groups) < serial.candidates
+    for jobs in (2, 3, len(groups) + 5):
+        sizes.clear()
+        mapped.clear()
+        assert scan(f, 3, "total-first", jobs=jobs) == serial
+        (batches,) = mapped
+        assert sizes == [min(jobs, len(batches))]
+        assert 1 < len(batches) <= min(4 * jobs, len(groups))
+        assert all(b for _, b, _ in batches)
+        assert [ws for _, b, _ in batches for ws in b] == groups
+    assert sizes == [len(groups)]  # one param per batch at the largest jobs
 
 
 # Y^2 = X^3 + lam^2 X - 1 with section (1/lam^2, 1/lam^3): the fiber at
@@ -327,6 +349,79 @@ def test_scan_per_param_routing_matches_every_candidate_reference(monkeypatch, c
         assert any(is_torsion(w.curve, w.witness) for w in skipped)
     else:
         assert st["degenerate"] > stats.degenerate_skipped and st["certified"] > 0
+
+
+# Families where many candidates share an integral model: the total-first
+# twist walks give one integral point for every y0 that goes with an x0.
+# The pencil's Grams hold the section and the witness (k = 2), so their
+# pair sums are taken on the integral model.
+MEMO_CASES = {
+    "x3-x": (TwistLinear(p=X3_MINUS_X), 4, "total-first"),
+    "(x+2)x(x-1)": (TwistLinear(p=poly([0, -2, 1, 1])), 4, "total-first"),
+    "quad-fiber": (TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1), 8, "fiber-first"),
+    "pencil": (PENCIL, 4, "fiber-first"),
+}
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_scan_with_shared_memos_matches_unshared_reference(monkeypatch, case):
+    f, bound, mode = MEMO_CASES[case]
+    ref = reference_scan(f, bound, mode, DEFAULT_SCAN_TOL)  # certify_fiber, no memo
+    assert ref.certified > 0
+    _, mapped = _serial_pool(monkeypatch)
+    for jobs in (1, 2, 3):
+        rep = scan(f, bound, mode, jobs=jobs)
+        assert rep == ref
+        assert rep.to_json() == ref.to_json()
+        assert len(mapped) == (jobs > 1) and all(len(batches) > 1 for batches in mapped)
+        mapped.clear()
+
+
+def _gram_key(C, pts, tol) -> tuple:
+    """gram_certify's memo key, from its arguments: the integral model, the
+    integral points and the target depth."""
+    m, u = model_of(C)
+    target = depth_for_tolerance(*m.defects()[:2], tol)
+    return m.curve, tuple(point_to_integral(P, u) for P in pts), target
+
+
+def test_scan_computes_each_gram_key_once(monkeypatch):
+    f, bound, mode = MEMO_CASES["x3-x"]
+    calls = _counting(monkeypatch, "gram_certify")
+    computed = []
+    gram = heights._gram
+
+    def counted(m, pts, target):
+        computed.append((m.curve, tuple(pts), target))
+        return gram(m, pts, target)
+
+    monkeypatch.setattr(heights, "_gram", counted)
+    scan(f, bound, mode)
+    want = {_gram_key(C, pts, tol) for C, pts, tol, _ in calls}
+    assert len(computed) == len(set(computed)) == len(want) and set(computed) == want
+    assert len(computed) * 2 < len(calls)
+
+
+def test_isomorphic_candidates_share_the_gram_but_keep_their_own_points():
+    # p(2) = 6: (2, 1) lies on the fiber t = 6 and (2, 2) on t = 3/2.  Both
+    # fibers have the integral model y^2 = x^3 - 36x, and both witnesses
+    # map to (12, 36) on it.
+    f = TwistLinear(p=X3_MINUS_X)
+    ws = [
+        f.point(f.fiber(t), t, t, Fraction(2), Fraction(y0), Fraction(6))
+        for t, y0 in ((Fraction(6), 1), (Fraction(3, 2), 2))
+    ]
+    memo: dict = {}
+    a, b = (certify_fiber(f, w, memo=memo) for w in ws)
+    assert model_of(ws[0].curve)[0].key == model_of(ws[1].curve)[0].key == (-36, 0)
+    assert len(memo) == 3  # the model's defect bounds, one torsion answer, one Gram
+    assert [a, b] == [certify_fiber(f, w) for w in ws]  # no memo
+    assert a.gram.entries == b.gram.entries and a.gram.heights == b.gram.heights
+    ja, jb = a.to_json(), b.to_json()
+    assert ja["gram"]["entries"] == jb["gram"]["entries"] and ja["heights"] == jb["heights"]
+    assert (ja["witness"], ja["gram"]["points"], ja["curve"]) == ("12,36", ["12,36"], {"A": "-36", "B": "0"})
+    assert (jb["witness"], jb["gram"]["points"], jb["curve"]) == ("3,9/2", ["3,9/2"], {"A": "-9/4", "B": "0"})
+    assert ja["param"] == "6" and jb["param"] == "3/2"
 
 
 def test_certificate_soundness_invariant():
