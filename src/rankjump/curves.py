@@ -17,9 +17,11 @@ n exists and the exact n S is O. The primes start at p = 1009: by Hasse
 in practice lie far below it, so the first candidate is nearly always good.
 
 Points are checked on the curve at the public boundary (`add`, `mul`,
-`torsion_order`, `reduce_mod_p`, `small_relation_search`, and
-`require_on_curve` for callers outside this module); the internal group
-law `_add`/`_mul` trusts its inputs.
+`torsion_order` and so `is_torsion`, `reduce_mod_p`, `small_relation_search`,
+and `require_on_curve` for callers outside this module); the internal group
+law `_add`/`_mul` and `point_to_integral` trust their inputs.  A check on
+the integral model is one on C too: (x, y) -> (u^2 x, u^3 y) is a bijection
+from C onto it.
 """
 
 from __future__ import annotations
@@ -163,7 +165,8 @@ def _den_valuations(q: Fraction) -> dict[int, int]:
 
 
 def integral_model(C: Curve) -> tuple[Curve, int]:
-    """Minimal positive integer u with (u^4 A, u^6 B) integral.
+    """Minimal positive integer u with (u^4 A, u^6 B) integral, and the
+    curve (u^4 A, u^6 B), which is C itself when u = 1.
 
     The isomorphism (x, y) -> (u^2 x, u^3 y) carries points over and
     preserves canonical heights.
@@ -176,6 +179,8 @@ def integral_model(C: Curve) -> tuple[Curve, int]:
     u = 1
     for p, e in sorted(vals.items()):
         u *= p**e
+    if u == 1:
+        return C, 1
     return Curve(C.A * u**4, C.B * u**6), u
 
 

@@ -14,12 +14,21 @@ happens in the extension field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
-from .curves import Curve, Point, is_torsion, on_curve, small_relation_search
+from .curves import (
+    Curve,
+    Point,
+    integral_model,
+    is_torsion,
+    on_curve,
+    point_to_integral,
+    small_relation_search,
+)
 from .errors import (
     DegenerateFiber,
     InvalidCertificate,
@@ -41,7 +50,7 @@ from .families import (
     require_valid,
     witness_stream,
 )
-from .heights import GramCertificate, gram_certify, model_of, tolerance, torsion_on
+from .heights import GramCertificate, gram_certify, tolerance
 from .intervals import CTX
 from .polynomials import Poly, poly_eval
 from .rationals import format_rational, is_rational_square, iter_rationals, rat_height
@@ -106,6 +115,38 @@ def _gram_tol(tol) -> Decimal:
     return CTX.divide(tolerance(tol), Decimal(10))
 
 
+def _ints(P: Point) -> tuple[int, int, int, int]:
+    """P as four ints, the form memo keys take; (0, 0, 0, 0) is the point
+    at infinity (no affine coordinate has denominator 0)."""
+    if P.is_infinity:
+        return 0, 0, 0, 0
+    return P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator
+
+
+def _torsion(memo: dict, Cm: Curve, u: int, P: Point) -> bool:
+    """Whether P, on the curve with integral model Cm and scale u, is
+    torsion: is_torsion on Cm, once per memo key (A, B, four ints of the
+    integral point)."""
+    Pm = point_to_integral(P, u)
+    key = (Cm.A.numerator, Cm.B.numerator, *_ints(Pm))
+    known = memo.get(key)
+    if known is None:
+        known = memo[key] = is_torsion(Cm, Pm)
+    return known
+
+
+def _gram(memo: dict, Cm: Curve, u: int, pts: list[Point], tol: Decimal) -> GramCertificate:
+    """gram_certify for pts on the curve with integral model Cm and scale u,
+    once per memo key (A, B, tol, four ints per integral point); the
+    certificate carries pts themselves."""
+    ipts = [point_to_integral(P, u) for P in pts]
+    key = (Cm.A.numerator, Cm.B.numerator, tol, *(n for P in ipts for n in _ints(P)))
+    cert = memo.get(key)
+    if cert is None:
+        cert = memo[key] = gram_certify(Cm, ipts, tol)
+    return replace(cert, points=tuple(pts))
+
+
 def certify_fiber(
     f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL, memo: Optional[dict] = None
 ) -> WitnessCertificate:
@@ -119,27 +160,34 @@ def certify_fiber(
     positive determinant, so most independent sets resolve well above that
     depth.
 
-    The torsion screens and the Gram steps run on the fiber's integral
-    model (heights.model_of).  Candidates certified with one memo dict
-    compute each torsion status and each Gram outcome once per integral
-    model and integral points: (x, y) -> (u^2 x, u^3 y) preserves torsion,
-    canonical heights and the group law, so a shared answer is the one
-    this fiber would compute.  The certificate keeps its own curve,
+    The points are mapped once to the fiber's integral model Cm, where the
+    torsion screens and the Gram steps run.  Candidates certified with one
+    memo dict compute each torsion status and each Gram outcome once per
+    integral model and integral points: (x, y) -> (u^2 x, u^3 y) preserves
+    torsion, canonical heights and the group law, so a shared answer is the
+    one this fiber would compute.  The certificate keeps its own curve,
     sections and witness.
+
+    No point is checked on the fiber here.  A miss checks it on Cm
+    (torsion_order and gram_certify require their points on the curve), and
+    a hit means an earlier call checked this very integral point on this
+    very Cm.  The map is a bijection from the fiber onto Cm, so either way
+    a point off the fiber raises PointNotOnCurve.
     """
     gram_tol = _gram_tol(tol)
+    memo = {} if memo is None else memo
     declared = f.declared_generic_rank
     C = w.curve
     sections = f.sections_at(w.param, C)
-    model = model_of(C, memo)
-    live_sections = [P for P in sections if not torsion_on(model, C, P)]
-    torsion = torsion_on(model, C, w.witness)  # raises PointNotOnCurve off the fiber
+    Cm, u = integral_model(C)
+    live_sections = [P for P in sections if not _torsion(memo, Cm, u, P)]
+    torsion = _torsion(memo, Cm, u, w.witness)
     # Sections may meet at this parameter; a bound from distinct points is sound.
     pts = list(dict.fromkeys(live_sections + ([] if torsion else [w.witness])))
-    gram = gram_certify(C, pts, gram_tol, model) if pts else None
+    gram = _gram(memo, Cm, u, pts, gram_tol) if pts else None
     if not torsion and not gram.certified and len(pts) > 1:
         pts = [w.witness]
-        gram = gram_certify(C, pts, gram_tol, model)
+        gram = _gram(memo, Cm, u, pts, gram_tol)
     lb = len(pts) if gram is not None and gram.certified else 0
     if torsion:
         status = "torsion-witness"
@@ -206,7 +254,7 @@ def _certify_param(
     torsion = poles = 0
     for w in ws:
         if kept is not None and kept.status == "certified":
-            torsion += torsion_on(model_of(w.curve, memo), w.curve, w.witness)
+            torsion += _torsion(memo, *integral_model(w.curve), w.witness)
             continue
         try:
             cert = certify_fiber(f, w, tol, memo)
@@ -241,11 +289,13 @@ def scan(
     (status shows why).  Each param's candidates are run in stream order
     until one certifies; later ones are only screened for torsion.  The
     params go in contiguous batches: one batch when jobs = 1, else about
-    four per worker (pool.map's own chunking), one pool.map item each.  A
-    batch's candidates share one memo (see certify_fiber), so isomorphic
-    fibers are certified once per batch.  A memo only saves work and never
-    changes an answer, and the tally depends only on the order within a
-    param, so sequential and parallel runs produce identical reports.
+    four per worker (pool.map's own chunking), one pool.map item each.  The
+    pool starts at most one worker per batch and per CPU; the batches
+    depend on jobs alone, not on the machine.  A batch's candidates share
+    one memo (see certify_fiber), so isomorphic fibers are certified once
+    per batch.  A memo only saves work and never changes an answer, and the
+    tally depends only on the order within a param, so sequential and
+    parallel runs produce identical reports.
     """
     require_valid(f)
     if jobs < 1:
@@ -263,7 +313,7 @@ def scan(
     if len(batches) > 1:
         import multiprocessing as mp
 
-        with mp.Pool(min(jobs, len(batches))) as pool:
+        with mp.Pool(min(jobs, len(batches), os.cpu_count() or 1)) as pool:
             per_batch = pool.map(_certify_batch, batches)
     else:
         per_batch = [_certify_batch(b) for b in batches]

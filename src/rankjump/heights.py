@@ -24,12 +24,16 @@ which is the enclosure everything below certifies against.  A positive
 lower bound on the Gram determinant of the pairing
 <P,Q> = (hhat(P+Q) - hhat(P) - hhat(Q))/2 proves the points independent
 modulo torsion, hence a Mordell-Weil rank lower bound.
+
+Every function here is a pure function of its arguments and keeps no
+memo; sharing work across isomorphic fibers is the caller's (see
+engine.certify_fiber).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Optional, Sequence
 
@@ -103,8 +107,8 @@ def defect_bounds(C: Curve) -> tuple[Decimal, Decimal]:
     """
     if C.A.denominator != 1 or C.B.denominator != 1:
         raise ValueError("defect bounds need an integral model")
-    alpha, beta, _ = _Model(C).defects()
-    return alpha, beta
+    m = _Model(C)
+    return m.alpha, m.beta
 
 
 class XChain:
@@ -149,65 +153,32 @@ class XChain:
         return max(self.u.bit_length(), self.v.bit_length())
 
 
-def _key(P: Point) -> tuple[int, int, int, int]:
-    """P as four ints, the compact form memo keys take; (0, 0, 0, 0) is the
-    point at infinity (no affine coordinate has denominator 0)."""
-    if P.is_infinity:
-        return 0, 0, 0, 0
-    return P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator
-
-
 class _Model:
-    """An integral model y^2 = x^3 + Ax + B and a memo it reads and fills.
+    """An integral model y^2 = x^3 + Ax + B and its defect bounds
+    -alpha <= h(2P) - 4h(P) <= beta: alpha = ln S for S the larger
+    coefficient sum of the u^7 and v^7 identities, s_bits = bits(S), and
+    beta = ln c1."""
 
-    The memo holds what depends on the integral data alone, so every curve
-    with this integral model may share it (see model_of).  Its keys start
-    with (A, B), and the three kinds differ in length:
-      (A, B)                              -> (alpha, beta, bits(S))
-      (A, B, x and y as four ints)        -> whether the point is torsion
-      (A, B, target, four ints per point) -> the Gram outcome
-    """
-
-    def __init__(self, Cm: Curve, memo: Optional[dict] = None):
+    def __init__(self, Cm: Curve):
         self.curve = Cm
-        self.key = (Cm.A.numerator, Cm.B.numerator)
-        self.memo = {} if memo is None else memo
-
-    def defects(self) -> tuple[Decimal, Decimal, int]:
-        """(alpha, beta, bits(S)) with -alpha <= h(2P) - 4h(P) <= beta:
-        alpha = ln S for S the larger coefficient sum of the u^7 and v^7
-        identities, beta = ln c1."""
-        known = self.memo.get(self.key)
-        if known is None:
-            A, B = self.key
-            S = max(sum(map(abs, f + g)) for f, g in (v7_cofactors(A, B), u7_cofactors(A, B)))
-            c1 = max(1 + 2 * abs(A) + 8 * abs(B) + A * A, 4 * (1 + abs(A) + abs(B)))
-            known = (ln_int_interval(S).hi, ln_int_interval(c1).hi, S.bit_length())
-            self.memo[self.key] = known
-        return known
-
-    def torsion(self, P: Point) -> bool:
-        """is_torsion on this model, decided once per point."""
-        if P.is_infinity:
-            return True
-        key = self.key + _key(P)
-        known = self.memo.get(key)
-        if known is None:
-            known = self.memo[key] = is_torsion(self.curve, P)
-        return known
+        A, B = Cm.A.numerator, Cm.B.numerator
+        S = max(sum(map(abs, f + g)) for f, g in (v7_cofactors(A, B), u7_cofactors(A, B)))
+        c1 = max(1 + 2 * abs(A) + 8 * abs(B) + A * A, 4 * (1 + abs(A) + abs(B)))
+        self.alpha = ln_int_interval(S).hi
+        self.beta = ln_int_interval(c1).hi
+        self.s_bits = S.bit_length()
 
     def chain(self, P: Point) -> Optional[XChain]:
         """P's doubling chain, or None when P is torsion (infinity
         included): its height is exactly 0."""
-        return None if self.torsion(P) else XChain(self.curve, P)
+        return None if is_torsion(self.curve, P) else XChain(self.curve, P)
 
     def interval(self, chain: Optional[XChain]) -> Interval:
         """[L_N - alpha/(3*4^N), L_N + beta/(3*4^N)] at the chain's depth N."""
         if chain is None:
             return Interval.exact(0)
-        alpha, beta, _ = self.defects()
         L = ln_int_interval(max(abs(chain.u), chain.v)).div_exact_int(4**chain.depth)
-        return L + Interval(negate(alpha), beta).div_exact_int(3 * 4**chain.depth)
+        return L + Interval(negate(self.alpha), self.beta).div_exact_int(3 * 4**chain.depth)
 
     def enclose(self, P: Point, depth: int) -> Interval:
         chain = self.chain(P)
@@ -217,23 +188,10 @@ class _Model:
         return self.interval(chain)
 
 
-def model_of(C: Curve, memo: Optional[dict] = None) -> tuple[_Model, int]:
-    """C's integral model (x, y) -> (u^2 x, u^3 y) as a _Model, and u.
-
-    Curves given the same memo (a dict the caller owns and drops) that
-    have the same integral model share its torsion answers and Gram
-    outcomes.  That is sound because the map preserves canonical heights,
-    torsion and the group law.
-    """
+def model_of(C: Curve) -> tuple[_Model, int]:
+    """C's integral model (x, y) -> (u^2 x, u^3 y) as a _Model, and u."""
     Cm, u = integral_model(C)
-    return _Model(Cm, memo), u
-
-
-def torsion_on(model: tuple[_Model, int], C: Curve, P: Point) -> bool:
-    """is_torsion(C, P), read from model = model_of(C, memo)."""
-    require_on_curve(C, P)
-    m, u = model
-    return m.torsion(point_to_integral(P, u))
+    return _Model(Cm), u
 
 
 def depth_for_tolerance(alpha: Decimal, beta: Decimal, tol: Decimal) -> int:
@@ -282,8 +240,7 @@ def canonical_height(C: Curve, P: Point, tol=DEFAULT_HEIGHT_TOL) -> HeightEstima
     chain = m.chain(point_to_integral(P, u))
     if chain is None:
         return HeightEstimate(value=Decimal(0), error_bound=tol_d)
-    alpha, beta, _ = m.defects()
-    depth = depth_for_tolerance(alpha, beta, tol_d)
+    depth = depth_for_tolerance(m.alpha, m.beta, tol_d)
     for _ in range(depth):
         chain.step()
     est = _estimate(m.interval(chain))
@@ -299,8 +256,7 @@ def height_pairing(C: Curve, P: Point, Q: Point, tol=DEFAULT_HEIGHT_TOL) -> Inte
     """Enclosure of <P,Q> = (hhat(P+Q) - hhat(P) - hhat(Q))/2."""
     tol_d = tolerance(tol)
     m, u = model_of(C)
-    alpha, beta, _ = m.defects()
-    depth = depth_for_tolerance(alpha, beta, tol_d)
+    depth = depth_for_tolerance(m.alpha, m.beta, tol_d)
     S, P, Q = (point_to_integral(R, u) for R in (add(C, P, Q), P, Q))
     return (m.enclose(S, depth) - m.enclose(P, depth) - m.enclose(Q, depth)).div_exact_int(2)
 
@@ -332,19 +288,22 @@ class GramCertificate:
         }
 
 
-def gram_certify(
-    C: Curve, points: Sequence[Point], tol, model: Optional[tuple[_Model, int]] = None
-) -> GramCertificate:
+def gram_certify(C: Curve, points: Sequence[Point], tol) -> GramCertificate:
     """Certify independence of points via a positive interval Gram determinant.
 
     The points are checked on C (on the curve, pairwise distinct), then
-    mapped to C's integral model, where the refinement runs (_gram) as a
-    function of the model, the integral points and the target depth alone;
-    sums are taken there too.  The map preserves canonical heights, torsion
-    and the group law, so the outcome is the one C would give.  Pass
-    model = model_of(C, memo) to compute it once per such key: every
-    isomorphic fiber with the same integral points then reads back the same
-    entries, determinant and heights, and only `points` is its own.
+    mapped to C's integral model, where the heights are refined; sums are
+    taken there too.  The map preserves canonical heights, torsion and the
+    group law, so the outcome is the one C would give.
+
+    All height chains advance together, one doubling per round, until
+    either the determinant's lower bound turns positive (early success),
+    every chain reaches the depth tol asks for (capped), or a chain hits the
+    coordinate budget.  Every intermediate enclosure is rigorous, so
+    stopping early never produces a false certificate.
+
+    One point's live chain with 3 bits(H) <= bits(S) - 2 (alpha = ln S) steps
+    without an enclosure: then 3 ln H <= alpha - ln 2, so that det.lo < 0.
     """
     tol_d = tolerance(tol)
     pts = list(points)
@@ -355,41 +314,18 @@ def gram_certify(
     if len({(P.x, P.y) for P in pts}) != len(pts):
         raise ValueError("points must be pairwise distinct")
 
-    m, u = model_of(C) if model is None else model
-    if m.curve.A != C.A * u**4 or m.curve.B != C.B * u**6:
-        raise ValueError("model is not an integral model of C")
-    alpha, beta, _ = m.defects()
+    m, u = model_of(C)
     try:
-        target = depth_for_tolerance(alpha, beta, tol_d)
+        target = depth_for_tolerance(m.alpha, m.beta, tol_d)
     except ToleranceUnreachable:
         target = DEPTH_CAP
     ipts = [point_to_integral(P, u) for P in pts]
-    key = (*m.key, target, *(n for P in ipts for n in _key(P)))
-    cert = m.memo.get(key)
-    if cert is None:
-        cert = m.memo[key] = _gram(m, ipts, target)
-    return replace(cert, points=tuple(pts))
-
-
-def _gram(m: _Model, pts: list[Point], target: int) -> GramCertificate:
-    """The refinement loop on the integral model m, for gram_certify.
-
-    All height chains advance together, one doubling per round, until
-    either the determinant's lower bound turns positive (early success),
-    every chain reaches the target depth, or a chain hits the coordinate
-    budget.  Every intermediate enclosure is rigorous, so stopping early
-    never produces a false certificate.
-
-    One point's live chain with 3 bits(H) <= bits(S) - 2 (alpha = ln S) steps
-    without an enclosure: then 3 ln H <= alpha - ln 2, so that det.lo < 0.
-    """
     k = len(pts)
     chains: dict[tuple[int, int], Optional[XChain]] = {}
     for i in range(k):
-        chains[(i, i)] = m.chain(pts[i])
+        chains[(i, i)] = m.chain(ipts[i])
         for j in range(i + 1, k):
-            chains[(i, j)] = m.chain(add(m.curve, pts[i], pts[j]))
-    s_bits = m.defects()[2]  # alpha >= ln S >= (s_bits - 1) ln 2
+            chains[(i, j)] = m.chain(add(m.curve, ipts[i], ipts[j]))
 
     while True:
         live = [
@@ -399,7 +335,8 @@ def _gram(m: _Model, pts: list[Point], target: int) -> GramCertificate:
             and ch.depth < target
             and ch.size_bits() * 4 <= CHAIN_BUDGET_BITS
         ]
-        if k == 1 and live and 3 * live[0].size_bits() <= s_bits - 2:
+        # alpha >= ln S >= (s_bits - 1) ln 2
+        if k == 1 and live and 3 * live[0].size_bits() <= m.s_bits - 2:
             live[0].step()
             continue
         h = {key: m.interval(ch) for key, ch in chains.items()}

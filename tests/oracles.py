@@ -188,7 +188,7 @@ def reference_gram_certify(C, points, tol):
     pts = list(points)
     m, u = heights.model_of(C)
     try:
-        target = heights.depth_for_tolerance(*m.defects()[:2], heights.tolerance(tol))
+        target = heights.depth_for_tolerance(m.alpha, m.beta, heights.tolerance(tol))
     except ToleranceUnreachable:
         target = heights.DEPTH_CAP
     k = len(pts)

@@ -69,8 +69,9 @@ def test_mul_examples():
 def test_integral_model_examples():
     Ci, u = integral_model(curve(Fraction(-1, 4), 0))
     assert (Ci.A, Ci.B, u) == (-4, 0, 2)
-    Ci, u = integral_model(curve(3, -7))
-    assert (Ci.A, Ci.B, u) == (3, -7, 1)
+    C = curve(3, -7)
+    Ci, u = integral_model(C)
+    assert Ci is C and u == 1  # an integral curve is its own model, not a copy
     Ci, u = integral_model(curve(0, Fraction(1, 27)))
     assert (Ci.A, Ci.B, u) == (0, 27, 3)
 
@@ -299,7 +300,7 @@ def test_torsion_screen_random_non_torsion():
     assert confirmed > 0
 
 
-# heights.model_of shares torsion answers between isomorphic curves.  That
+# scan's memo shares torsion answers between isomorphic curves.  That
 # rests on torsion_order giving the same answer on C and on its integral
 # model, even where the two screens reduce at different primes.
 

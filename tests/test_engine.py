@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from oracles import reference_scan
-from rankjump import heights
-from rankjump.curves import curve, is_torsion, mul, on_curve, point, point_to_integral
+from rankjump import engine
+from rankjump.curves import curve, integral_model, is_torsion, mul, on_curve, point, point_to_integral
 from rankjump.engine import (
     DEFAULT_SCAN_TOL,
     billing_build,
@@ -34,13 +35,7 @@ from rankjump.families import (
     fiber_at,
     witness_stream,
 )
-from rankjump.heights import (
-    canonical_height,
-    depth_for_tolerance,
-    gram_certify,
-    height_pairing,
-    model_of,
-)
+from rankjump.heights import canonical_height, gram_certify, height_pairing
 from rankjump.polynomials import poly, ratfunc
 
 X3_MINUS_X = poly([0, -1, 0, 1])
@@ -262,21 +257,27 @@ def _param_groups(f, bound, mode) -> list:
 
 
 def test_scan_starts_at_most_one_worker_per_param(monkeypatch):
+    # The pool is capped at the machine's CPU count (1 when it is unknown),
+    # so a huge --jobs starts no more workers than the machine has; the
+    # batches and the report do not depend on the cap.
     sizes, mapped = _serial_pool(monkeypatch)
     f = TwistLinear(p=X3_MINUS_X)
     groups = _param_groups(f, 3, "total-first")
     serial = scan(f, 3, "total-first")
     assert not sizes and 8 < len(groups) < serial.candidates
-    for jobs in (2, 3, len(groups) + 5):
-        sizes.clear()
-        mapped.clear()
-        assert scan(f, 3, "total-first", jobs=jobs) == serial
-        (batches,) = mapped
-        assert sizes == [min(jobs, len(batches))]
-        assert 1 < len(batches) <= min(4 * jobs, len(groups))
-        assert all(b for _, b, _ in batches)
-        assert [ws for _, b, _ in batches for ws in b] == groups
-    assert sizes == [len(groups)]  # one param per batch at the largest jobs
+    for cpus in (None, 3, 10**6):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for jobs in (2, 3, len(groups) + 5, 10**6):
+            sizes.clear()
+            mapped.clear()
+            assert scan(f, 3, "total-first", jobs=jobs) == serial
+            (batches,) = mapped
+            assert sizes == [min(jobs, len(batches), cpus or 1)]
+            assert 1 < len(batches) <= min(4 * jobs, len(groups))
+            assert all(b for _, b, _ in batches)
+            assert [ws for _, b, _ in batches for ws in b] == groups
+        # one param per batch at the largest jobs
+        assert len(batches) == len(groups) and sizes == [min(len(groups), cpus or 1)]
 
 
 # Y^2 = X^3 + lam^2 X - 1 with section (1/lam^2, 1/lam^3): the fiber at
@@ -331,6 +332,7 @@ def test_scan_per_param_routing_matches_every_candidate_reference(monkeypatch, c
         except PoleAtPoint:
             pass
     needed_grams = len(grams)
+    keys = {_gram_key(*args) for args in grams}
     certifies = _counting(monkeypatch, "certify_fiber")
     _serial_pool(monkeypatch)
     for jobs in (1, 2):
@@ -338,12 +340,15 @@ def test_scan_per_param_routing_matches_every_candidate_reference(monkeypatch, c
         certifies.clear()
         assert scan(f, bound, mode, tol, jobs).to_json() == ref
         assert len(certifies) == len(needed)
-        assert len(grams) == needed_grams
+        # each batch computes its distinct Gram keys once; one batch at jobs = 1
+        assert {_gram_key(*args) for args in grams} == keys
+        assert len(keys) <= len(grams) <= needed_grams and (jobs > 1 or len(grams) == len(keys))
     assert skipped
     st = ref["stats"]
     if case == "lin":
         assert (st["candidates"], st["distinct_params"]) == (84, 68)
         assert needed_grams == len(needed)  # one Gram per attempted candidate
+        assert len(keys) < needed_grams  # isomorphic candidates share theirs
     elif case == "torsion":
         assert st["torsion_witness"] > 0 and st["certified"] > 0
         assert any(is_torsion(w.curve, w.witness) for w in skipped)
@@ -377,44 +382,45 @@ def test_scan_with_shared_memos_matches_unshared_reference(monkeypatch, case):
         mapped.clear()
 
 
-def _gram_key(C, pts, tol) -> tuple:
-    """gram_certify's memo key, from its arguments: the integral model, the
-    integral points and the target depth."""
-    m, u = model_of(C)
-    target = depth_for_tolerance(*m.defects()[:2], tol)
-    return m.curve, tuple(point_to_integral(P, u) for P in pts), target
+def _gram_key(Cm, ipts, tol) -> tuple:
+    """The memo key of the Gram that gram_certify(Cm, ipts, tol) computes:
+    the integral model, the integral points and the tolerance."""
+    return Cm, tuple(ipts), tol
 
 
 def test_scan_computes_each_gram_key_once(monkeypatch):
     f, bound, mode = MEMO_CASES["x3-x"]
-    calls = _counting(monkeypatch, "gram_certify")
-    computed = []
-    gram = heights._gram
-
-    def counted(m, pts, target):
-        computed.append((m.curve, tuple(pts), target))
-        return gram(m, pts, target)
-
-    monkeypatch.setattr(heights, "_gram", counted)
+    attempts = _counting(monkeypatch, "_gram")
+    computed = _counting(monkeypatch, "gram_certify")
     scan(f, bound, mode)
-    want = {_gram_key(C, pts, tol) for C, pts, tol, _ in calls}
-    assert len(computed) == len(set(computed)) == len(want) and set(computed) == want
-    assert len(computed) * 2 < len(calls)
+    want = {
+        _gram_key(Cm, [point_to_integral(P, u) for P in pts], tol)
+        for _, Cm, u, pts, tol in attempts
+    }
+    keys = [_gram_key(*args) for args in computed]
+    assert len(keys) == len(set(keys)) == len(want) and set(keys) == want
+    assert len(computed) * 2 < len(attempts)
 
 
-def test_isomorphic_candidates_share_the_gram_but_keep_their_own_points():
+def _isomorphic_candidates() -> list:
     # p(2) = 6: (2, 1) lies on the fiber t = 6 and (2, 2) on t = 3/2.  Both
     # fibers have the integral model y^2 = x^3 - 36x, and both witnesses
     # map to (12, 36) on it.
     f = TwistLinear(p=X3_MINUS_X)
-    ws = [
+    return [
         f.point(f.fiber(t), t, t, Fraction(2), Fraction(y0), Fraction(6))
         for t, y0 in ((Fraction(6), 1), (Fraction(3, 2), 2))
     ]
+
+
+def test_isomorphic_candidates_share_the_gram_but_keep_their_own_points():
+    f = TwistLinear(p=X3_MINUS_X)
+    ws = _isomorphic_candidates()
     memo: dict = {}
     a, b = (certify_fiber(f, w, memo=memo) for w in ws)
-    assert model_of(ws[0].curve)[0].key == model_of(ws[1].curve)[0].key == (-36, 0)
-    assert len(memo) == 3  # the model's defect bounds, one torsion answer, one Gram
+    assert integral_model(ws[0].curve) == (curve(-36, 0), 1)
+    assert integral_model(ws[1].curve) == (curve(-36, 0), 2)
+    assert len(memo) == 2  # one torsion answer, one Gram
     assert [a, b] == [certify_fiber(f, w) for w in ws]  # no memo
     assert a.gram.entries == b.gram.entries and a.gram.heights == b.gram.heights
     ja, jb = a.to_json(), b.to_json()
@@ -422,6 +428,63 @@ def test_isomorphic_candidates_share_the_gram_but_keep_their_own_points():
     assert (ja["witness"], ja["gram"]["points"], ja["curve"]) == ("12,36", ["12,36"], {"A": "-36", "B": "0"})
     assert (jb["witness"], jb["gram"]["points"], jb["curve"]) == ("3,9/2", ["3,9/2"], {"A": "-9/4", "B": "0"})
     assert ja["param"] == "6" and jb["param"] == "3/2"
+
+
+def test_memo_hits_never_skip_the_on_curve_check():
+    # certify_fiber checks no point on its fiber: a miss checks the integral
+    # point on the integral model, and a hit stands for such a check.  So a
+    # witness off its fiber must raise even after an isomorphic candidate
+    # filled the memo.  Each off-fiber witness shares x or y with the
+    # on-fiber one, so a key that dropped either coordinate would hit.
+    f = TwistLinear(p=X3_MINUS_X)
+    good, iso = _isomorphic_candidates()
+    offs = [
+        TotalSpacePoint(param=iso.param, curve=iso.curve, witness=P)
+        for P in (point(3, 5), point(4, Fraction(9, 2)))
+    ]
+    tol = DEFAULT_SCAN_TOL
+    memo: dict = {}
+    assert certify_fiber(f, good, tol, memo).status == "certified"
+    assert len(memo) == 2
+    for w in offs:
+        assert not on_curve(w.curve, w.witness)
+        with pytest.raises(PointNotOnCurve):
+            certify_fiber(f, w, tol, memo)
+        # the torsion-only screen after a param's certified candidate
+        with pytest.raises(PointNotOnCurve):
+            engine._certify_param(f, [iso, w], tol, memo)
+        # and the Gram step, whose key holds the integral points too
+        Cm, u = integral_model(w.curve)
+        with pytest.raises(PointNotOnCurve):
+            engine._gram(memo, Cm, u, [w.witness], engine._gram_tol(tol))
+    assert len(memo) == 2
+
+
+BENCH = curve(-16, 16)
+BENCH_P = point(0, 4)
+
+
+def test_gram_memo_keeps_tolerances_and_points_apart(monkeypatch):
+    # P and 3P are dependent, so their Gram refines down to the depth the
+    # tolerance sets: one memo must not hand the coarse outcome to the fine
+    # call.  Q on the rescaled curve C maps to P, so its Gram is read back
+    # from the memo, with Q as its point.
+    computed = _counting(monkeypatch, "gram_certify")
+    pts = [BENCH_P, mul(BENCH, 3, BENCH_P)]
+    tols = [Decimal("1e-3"), Decimal("1e-5")]
+    fresh = [gram_certify(BENCH, pts, t) for t in tols]
+    memo: dict = {}
+    shared = [engine._gram(memo, BENCH, 1, pts, t) for t in tols]
+    assert shared == fresh and fresh[0].entries != fresh[1].entries
+    assert len(computed) == len(memo) == 2
+    C = curve(Fraction(-16, 2**4), Fraction(16, 2**6))
+    Q = point(0, Fraction(4, 8))
+    assert integral_model(C) == (BENCH, 2)
+    single = engine._gram(memo, BENCH, 1, [BENCH_P], tols[0])
+    g = engine._gram(memo, BENCH, 2, [Q], tols[0])
+    assert len(computed) == len(memo) == 3
+    assert g.points == (Q,) and single.points == (BENCH_P,)
+    assert g == dataclasses.replace(single, points=(Q,)) == gram_certify(C, [Q], tols[0])
 
 
 def test_certificate_soundness_invariant():

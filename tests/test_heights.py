@@ -227,7 +227,7 @@ def test_gram_skip_rule_matches_every_round_reference(monkeypatch):
     cases = _skip_cases()
     m, _ = heights.model_of(cases[-3][0])
     with pytest.raises(ToleranceUnreachable):
-        depth_for_tolerance(*m.defects()[:2], Decimal("1e-80"))
+        depth_for_tolerance(m.alpha, m.beta, Decimal("1e-80"))
     assert _assert_skip_rule_matches_reference(monkeypatch, cases) > 0
 
 
@@ -239,39 +239,6 @@ def test_gram_skip_rule_at_chain_budget(monkeypatch):
     C, P = curve(-(96**2), 0), point(192, 2304)
     assert _assert_skip_rule_matches_reference(monkeypatch, [(C, [P], "1e-5")]) == 2
     assert not gram_certify(C, [P], Decimal("1e-5")).certified
-
-
-def test_gram_memo_keeps_tolerances_and_points_apart(monkeypatch):
-    # P and 3P are dependent, so their Gram refines down to the target
-    # depth, which the tolerance sets: one memo must not hand the coarse
-    # outcome to the fine call.  Q on the rescaled curve C maps to P: it
-    # reads P's torsion answer and the model's bounds from the same memo,
-    # and a repeat of its own Gram is read back, with Q as its point.
-    computed = []
-    gram = heights._gram
-
-    def counted(m, pts, target):
-        computed.append(target)
-        return gram(m, pts, target)
-
-    pts = [BENCH_P, mul(BENCH, 3, BENCH_P)]
-    fresh = [gram_certify(BENCH, pts, Decimal(t)) for t in ("1e-3", "1e-5")]
-    monkeypatch.setattr(heights, "_gram", counted)
-    memo: dict = {}
-    model = heights.model_of(BENCH, memo)
-    shared = [gram_certify(BENCH, pts, Decimal(t), model) for t in ("1e-3", "1e-5")]
-    assert shared == fresh and fresh[0].entries != fresh[1].entries
-    assert len(computed) == 2 and computed[0] < computed[1]
-    C = curve(Fraction(-16, 2**4), Fraction(16, 2**6))
-    Q = point(0, Fraction(4, 8))
-    m, u = heights.model_of(C, memo)
-    assert (m.key, u) == (model[0].key, 2)
-    g = gram_certify(C, [Q], Decimal("1e-3"), (m, u))
-    assert len(computed) == 3 and len(memo) == 1 + 3 + 3  # bounds, P, 3P, 4P, Grams
-    assert g == gram_certify(C, [Q], Decimal("1e-3"), (m, u)) and len(computed) == 3
-    assert g.points == (Q,) and g.entries == gram_certify(BENCH, [BENCH_P], Decimal("1e-3")).entries
-    with pytest.raises(ValueError, match="not an integral model"):
-        gram_certify(C, [Q], Decimal("1e-3"), (m, 1))
 
 
 def test_height_interval_contains_truth_across_depths():
