@@ -4,20 +4,22 @@ and reports out.
 Exit codes: 0 success, 2 config/input error, 3 search exhausted.  Data
 files carry no timestamps; identical invocations write identical bytes.
 stdout (or --out) carries only a command's data; every error and run note
-goes to stderr, and errors leave only through `main`.
+goes to stderr, and errors leave only through `main`.  Every output is
+written as it is encoded, so no command holds a second, textual copy of
+what it writes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
+from contextlib import nullcontext
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
+from itertools import chain
 
 from .curves import Curve, parse_point
 from .density import density_report
@@ -35,14 +37,7 @@ from .polynomials import parse_poly
 from .rationals import parse_rational
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
-
-
-def _csv_bytes(rows) -> bytes:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue().encode("ascii")
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 def _tol(text: str) -> Decimal:
@@ -81,11 +76,14 @@ def _load_family(path: str):
     return family_from_json(obj)
 
 
-def _emit(payload: bytes, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(payload.decode("ascii"))
-    else:
-        Path(out).write_bytes(payload)
+def _emit(data, out: str | None) -> None:
+    """Encode data onto out (stdout if None) as it goes: a dict as JSON, else CSV rows."""
+    sink = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="ascii", newline="\n")
+    with sink as fh:
+        if isinstance(data, dict):
+            fh.writelines(chain(_JSON.iterencode(data), "\n"))
+        else:
+            csv.writer(fh, lineterminator="\n").writerows(data)
 
 
 def cmd_validate(args) -> int:
@@ -104,13 +102,13 @@ def cmd_scan(args) -> int:
     t0 = time.monotonic()
     report = scan(fam, args.bound, args.mode, args.tol, jobs=args.jobs)
     if args.format == "json":
-        _emit(_json_bytes(report.to_json()), args.out)
+        _emit(report.to_json(), args.out)
     else:
-        _emit(_csv_bytes([CSV_COLUMNS] + [c.csv_row() for c in report.certificates]), args.out)
+        _emit(chain([CSV_COLUMNS], (c.csv_row() for c in report.certificates)), args.out)
     if args.out is not None:
         dens = density_report(fam, report.certified_params())
-        Path(args.out + ".density.json").write_bytes(_json_bytes(dens.to_json()))
-        Path(args.out + ".histogram.csv").write_bytes(_csv_bytes(dens.histogram.csv_rows()))
+        _emit(dens.to_json(), args.out + ".density.json")
+        _emit(dens.histogram.csv_rows(), args.out + ".histogram.csv")
     print(
         f"certified {report.certified} of {report.candidates} candidates, "
         f"{report.distinct_params} distinct params",
@@ -123,20 +121,20 @@ def cmd_scan(args) -> int:
 def cmd_billing(args) -> int:
     p = parse_poly(args.p.split(","))
     cert = billing_build(p, args.rank, args.bound)
-    _emit(_json_bytes(cert.to_json()), args.out)
+    _emit(cert.to_json(), args.out)
     return 0
 
 
 def cmd_neron(args) -> int:
     fam = _load_family(args.family)
     report = neron_check(fam, args.bound, args.tol)
-    _emit(_json_bytes(report.to_json()), args.out)
+    _emit(report.to_json(), args.out)
     return 0
 
 
 def cmd_height(args) -> int:
     est = canonical_height(Curve(*args.curve), parse_point(args.point), args.tol)
-    _emit(_json_bytes(est.to_json()), None)
+    _emit(est.to_json(), None)
     return 0
 
 

@@ -100,17 +100,6 @@ def v7_cofactors(A: int, B: int) -> tuple[tuple[int, int, int, int], tuple[int, 
     return (0, 12, 0, 16 * A), (-3, 0, 5 * A, 27 * B)
 
 
-def defect_bounds(C: Curve) -> tuple[Decimal, Decimal]:
-    """(alpha, beta): rigorous bounds -alpha <= h(2P) - 4h(P) <= beta.
-
-    Requires an integral model.
-    """
-    if C.A.denominator != 1 or C.B.denominator != 1:
-        raise ValueError("defect bounds need an integral model")
-    m = _Model(C)
-    return m.alpha, m.beta
-
-
 class XChain:
     """The x-coordinate orbit of repeated doubling on an integral model.
 

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 from decimal import Context, Inexact, Rounded, localcontext
 from pathlib import Path
 
 import pytest
 
+from rankjump import cli
 from rankjump.cli import main
+from rankjump.families import family_from_json
 
 TWIST_LINEAR = {"kind": "twist_linear", "p": ["0", "-1", "0", "1"], "generic_rank": 0}
 CUBIC = {"kind": "cubic_pencil", "generic_rank": 0}
@@ -141,6 +144,41 @@ def test_scan_stdout_is_the_report(tmp_path, capsys, fmt):
     cap = capsys.readouterr()
     assert cap.out == out.read_text()
     assert "certified" in cap.err and "scan took" in cap.err
+
+
+def test_scan_report_is_streamed(tmp_path, monkeypatch):
+    # Emission holds no textual copy of the report: with certification
+    # done beforehand, writing a 0.8 MB report and its density files
+    # allocates well under four times the report's size at peak.
+    report = cli.scan(family_from_json(TWIST_LINEAR), 6, "total-first", cli.DEFAULT_SCAN_TOL)
+    monkeypatch.setattr(cli, "scan", lambda *args, **kwargs: report)
+    out = tmp_path / "scan.json"
+    argv = ["scan", "--family", _write(tmp_path, "f.json", TWIST_LINEAR), "--bound", "6"]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size == 801_430
+    assert peak < 4 * size, f"peak {peak} B is {peak / size:.2f}x the report"
+
+
+@pytest.mark.parametrize("command", ["scan", "billing", "neron"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    # --out inside a missing directory: one error line, nothing on stdout.
+    argv = {
+        "scan": ["scan", "--family", _write(tmp_path, "f.json", TWIST_LINEAR), "--bound", "3"],
+        "billing": ["billing", "--p", "0,-1,0,1", "--rank", "3", "--bound", "10"],
+        "neron": ["neron", "--family", _write(tmp_path, "p.json", PENCIL), "--bound", "3"],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "missing" / "out.json")]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert "No such file or directory" in cap.err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("prec", [3, 50])

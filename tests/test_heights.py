@@ -11,7 +11,6 @@ from rankjump.errors import PointNotOnCurve, ToleranceUnreachable
 from rankjump.heights import (
     XChain,
     canonical_height,
-    defect_bounds,
     depth_for_tolerance,
     gram_certify,
     height_interval,
@@ -94,7 +93,8 @@ def test_tolerance_unreachable():
 
 
 def test_depth_selection_monotone():
-    alpha, beta = defect_bounds(curve(-16, 16))
+    m = heights.model_of(curve(-16, 16))[0]
+    alpha, beta = m.alpha, m.beta
     d1 = depth_for_tolerance(alpha, beta, Decimal("1e-2"))
     d2 = depth_for_tolerance(alpha, beta, Decimal("1e-6"))
     assert d1 < d2
