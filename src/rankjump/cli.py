@@ -5,8 +5,11 @@ Exit codes: 0 success, 2 config/input error, 3 search exhausted.  Data
 files carry no timestamps; identical invocations write identical bytes.
 stdout (or --out) carries only a command's data; every error and run note
 goes to stderr, and errors leave only through `main`.  Every output is
-written as it is encoded, so no command holds a second, textual copy of
-what it writes.
+written as it is encoded, so no command holds a second copy of what it
+writes: a report's `to_json()` holds its own fields only, and the one
+encoder, `_JSON`, expands each report object it meets (a certificate, a
+Gram, a height) into its dict as it reaches it and drops that dict once
+written.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 import time
 from contextlib import nullcontext
@@ -37,7 +41,7 @@ from .polynomials import parse_poly
 from .rationals import parse_rational
 
 
-_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+_JSON = json.JSONEncoder(sort_keys=True, indent=2, default=operator.methodcaller("to_json"))
 
 
 def _tol(text: str) -> Decimal:
@@ -77,7 +81,8 @@ def _load_family(path: str):
 
 
 def _emit(data, out: str | None) -> None:
-    """Encode data onto out (stdout if None) as it goes: a dict as JSON, else CSV rows."""
+    """Encode data onto out (stdout if None) as it goes: a dict as JSON, with
+    each report object in it expanded only when reached, else CSV rows."""
     sink = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="ascii", newline="\n")
     with sink as fh:
         if isinstance(data, dict):

@@ -177,11 +177,9 @@ class DensityReport:
     def to_json(self) -> dict:
         return {
             "distinct_params": self.distinct_params,
-            "real_histogram": self.histogram.to_json(),
-            "padic": [c.to_json() for c in self.padic],
-            "component": None
-            if self.component is None
-            else {"regions": [r.to_json() for r in self.component]},
+            "real_histogram": self.histogram,
+            "padic": self.padic,
+            "component": None if self.component is None else {"regions": self.component},
         }
 
 

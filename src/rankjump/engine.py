@@ -82,8 +82,8 @@ class WitnessCertificate:
             "curve": _curve_json(self.curve),
             "section_points": [str(P) for P in self.section_points],
             "witness": str(self.witness),
-            "heights": [] if self.gram is None else [h.to_json() for h in self.gram.heights],
-            "gram": self.gram.to_json() if self.gram is not None else None,
+            "heights": () if self.gram is None else self.gram.heights,
+            "gram": self.gram,
             "certified_rank_lb": self.certified_rank_lb,
             "declared_generic_rank": self.declared_generic_rank,
             "jump": self.jump,
@@ -233,7 +233,7 @@ class ScanReport:
                 "inconclusive": self.inconclusive,
                 "distinct_params": self.distinct_params,
             },
-            "certificates": [c.to_json() for c in self.certificates],
+            "certificates": self.certificates,
         }
 
     def certified_params(self) -> list[Fraction]:
@@ -453,7 +453,7 @@ class BillingCertificate:
             "curve": _curve_json(self.curve),
             "r": self.r,
             "classes": list(self.classes),
-            "witnesses": [w.to_json() for w in self.witnesses],
+            "witnesses": self.witnesses,
             "independence_proof": proof,
             "rank_bound": self.rank_bound,
             "field_degree": 2**self.r,

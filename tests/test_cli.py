@@ -1,15 +1,19 @@
 import json
+import operator
 import tracemalloc
 from decimal import Context, Inexact, Rounded, localcontext
 from pathlib import Path
 
 import pytest
 
-from rankjump import cli
+from rankjump import billing_build, cli, neron_check, scan
 from rankjump.cli import main
+from rankjump.density import density_report
 from rankjump.families import family_from_json
+from rankjump.polynomials import poly
 
 TWIST_LINEAR = {"kind": "twist_linear", "p": ["0", "-1", "0", "1"], "generic_rank": 0}
+TWIST_QUADRATIC = {"kind": "twist_quadratic", "c": "1", "a": "-1", "p": ["1", "0", "0", "1"]}
 CUBIC = {"kind": "cubic_pencil", "generic_rank": 0}
 PENCIL = {
     "kind": "weierstrass_pencil",
@@ -147,22 +151,50 @@ def test_scan_stdout_is_the_report(tmp_path, capsys, fmt):
 
 
 def test_scan_report_is_streamed(tmp_path, monkeypatch):
-    # Emission holds no textual copy of the report: with certification
-    # done beforehand, writing a 0.8 MB report and its density files
-    # allocates well under four times the report's size at peak.
-    report = cli.scan(family_from_json(TWIST_LINEAR), 6, "total-first", cli.DEFAULT_SCAN_TOL)
-    monkeypatch.setattr(cli, "scan", lambda *args, **kwargs: report)
-    out = tmp_path / "scan.json"
-    argv = ["scan", "--family", _write(tmp_path, "f.json", TWIST_LINEAR), "--bound", "6"]
-    tracemalloc.start()
-    try:
-        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = out.stat().st_size
-    assert size == 801_430
-    assert peak < 4 * size, f"peak {peak} B is {peak / size:.2f}x the report"
+    # Emission holds no copy of the report, textual or as dicts: with
+    # certification done beforehand, writing the report and its density
+    # files allocates less than the report's size at peak, since each
+    # certificate's dict or row is built as it is written and then dropped.
+    # Each csv.writer holds a fixed 128 KiB record buffer, more than the
+    # whole bound-6 CSV report, so the CSV case writes the bound-8 one.
+    fam = _write(tmp_path, "f.json", TWIST_LINEAR)
+    for fmt, bound, size in (("json", 6, 801_430), ("csv", 8, 335_748)):
+        report = scan(family_from_json(TWIST_LINEAR), bound, "total-first")
+        monkeypatch.setattr(cli, "scan", lambda *args, **kwargs: report)
+        out = tmp_path / f"scan.{fmt}"
+        tracemalloc.start()
+        try:
+            assert main(["scan", "--family", fam, "--bound", str(bound), "--format", fmt, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == size
+        assert peak < size, f"{fmt}: peak {peak} B is {peak / size:.2f}x the report"
+
+
+def test_library_recipe_writes_the_out_bytes(tmp_path):
+    # README's library recipe: to_json() keeps the report objects a field
+    # holds, and json.dumps expands them with the same default as the CLI.
+    def dumps(x) -> bytes:
+        text = json.dumps(x.to_json(), default=operator.methodcaller("to_json"), sort_keys=True, indent=2)
+        return (text + "\n").encode("ascii")
+
+    fam, pencil = _write(tmp_path, "f.json", TWIST_QUADRATIC), _write(tmp_path, "p.json", PENCIL)
+    out = tmp_path / "out"
+    f = family_from_json(TWIST_QUADRATIC)
+    report = scan(f, 8, "fiber-first")
+    dens = density_report(f, report.certified_params())
+    assert dens.component is not None
+    assert any(c.gram is None for c in report.certificates)
+    cases = [
+        (["scan", "--family", fam, "--bound", "8", "--mode", "fiber-first", "--format", "json"], report),
+        (["billing", "--p", "0,-1,0,1", "--rank", "3", "--bound", "10"], billing_build(poly([0, -1, 0, 1]), 3, 10)),
+        (["neron", "--family", pencil, "--bound", "3"], neron_check(family_from_json(PENCIL), 3)),
+    ]
+    for argv, obj in cases:
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == dumps(obj)
+    assert Path(f"{out}.density.json").read_bytes() == dumps(dens)
 
 
 @pytest.mark.parametrize("command", ["scan", "billing", "neron"])
