@@ -6,10 +6,13 @@ files carry no timestamps; identical invocations write identical bytes.
 stdout (or --out) carries only a command's data; every error and run note
 goes to stderr, and errors leave only through `main`.  Every output is
 written as it is encoded, so no command holds a second copy of what it
-writes: a report's `to_json()` holds its own fields only, and the one
-encoder, `_JSON`, expands each report object it meets (a certificate, a
-Gram, a height) into its dict as it reaches it and drops that dict once
-written.
+writes: a report's `to_json()` holds its own fields only, and the one JSON
+writer, `_json`, expands each report object it meets (a certificate, a
+Gram, a height) into its dict as it reaches it.  `_emit` streams a JSON
+output by top-level field and by item of a top-level list, so a scan
+report is written one certificate's text (about 1 kB) at a time, and each
+is dropped once written.  The text is exactly `json.dumps(data, indent=2,
+sort_keys=True, default=operator.methodcaller("to_json"))` and a newline.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import operator
 import sys
 import time
 from contextlib import nullcontext
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from .curves import Curve, parse_point
 from .density import density_report
@@ -41,7 +44,52 @@ from .polynomials import parse_poly
 from .rationals import parse_rational
 
 
-_JSON = json.JSONEncoder(sort_keys=True, indent=2, default=operator.methodcaller("to_json"))
+def _json(v, pad: str = "\n") -> str:
+    """The text json.dumps(v, indent=2, sort_keys=True) gives for v nested
+    at indent `pad` (a newline and its spaces): str, int, bool, None,
+    str-keyed dicts, lists and tuples as the stdlib writes them, and any
+    other value through its to_json()."""
+    if isinstance(v, str):
+        return _quote(v)
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        items = ("," + inner).join([_json(x, inner) for x in v])
+        return f"[{inner}{items}{pad}]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        fields = ("," + inner).join([f"{_quote(k)}: {_json(x, inner)}" for k, x in sorted(v.items())])
+        return f"{{{inner}{fields}{pad}}}"
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    return _json(v.to_json(), pad)
+
+
+def _pieces(data: dict):
+    """_json(data) and a newline for a non-empty dict (every report's is),
+    one top-level field or one item of a top-level list at a time."""
+    sep = "{\n  "
+    for k, v in sorted(data.items()):
+        yield f"{sep}{_quote(k)}: "
+        if isinstance(v, (list, tuple)) and v:
+            item_sep = "[\n    "
+            for x in v:
+                yield item_sep + _json(x, "\n    ")
+                item_sep = ",\n    "
+            yield "\n  ]"
+        else:
+            yield _json(v, "\n  ")
+        sep = ",\n  "
+    yield "\n}\n"
 
 
 def _tol(text: str) -> Decimal:
@@ -81,12 +129,12 @@ def _load_family(path: str):
 
 
 def _emit(data, out: str | None) -> None:
-    """Encode data onto out (stdout if None) as it goes: a dict as JSON, with
-    each report object in it expanded only when reached, else CSV rows."""
+    """Encode data onto out (stdout if None) as it goes: a dict as JSON, in
+    `_pieces`, else CSV rows."""
     sink = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="ascii", newline="\n")
     with sink as fh:
         if isinstance(data, dict):
-            fh.writelines(chain(_JSON.iterencode(data), "\n"))
+            fh.writelines(_pieces(data))
         else:
             csv.writer(fh, lineterminator="\n").writerows(data)
 

@@ -48,9 +48,11 @@ class Curve:
     B: Fraction
 
     def __post_init__(self) -> None:
-        if self.discriminant == 0:
+        # 4A^3 + 27B^2 = 0, cleared of its denominators den(A)^3 den(B)^2
+        A, B = self.A, self.B
+        if 4 * A.numerator**3 * B.denominator**2 + 27 * B.numerator**2 * A.denominator**3 == 0:
             raise SingularCurve(
-                f"4A^3+27B^2 = 0 for A={format_rational(self.A)}, B={format_rational(self.B)}"
+                f"4A^3+27B^2 = 0 for A={format_rational(A)}, B={format_rational(B)}"
             )
 
     @property

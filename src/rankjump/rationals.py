@@ -90,7 +90,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: RatLike) -> str:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -5,9 +5,10 @@ from decimal import Context, Inexact, Rounded, localcontext
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rankjump import billing_build, cli, neron_check, scan
-from rankjump.cli import main
+from rankjump.cli import _json, _pieces, main
 from rankjump.density import density_report
 from rankjump.families import family_from_json
 from rankjump.polynomials import poly
@@ -170,6 +171,52 @@ def test_scan_report_is_streamed(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert out.stat().st_size == size
         assert peak < size, f"{fmt}: peak {peak} B is {peak / size:.2f}x the report"
+
+
+class _Obj:
+    """A report object: the writer expands it through to_json()."""
+
+    def __init__(self, fields):
+        self.fields = fields
+
+    def to_json(self):
+        return self.fields
+
+
+# Strings weighted toward what JSON escapes: quote, backslash, control
+# characters, DEL and non-ASCII (BMP and astral).
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7f\u00e9\u2028\U0001f600'), st.characters()))
+_SCALARS = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.none(),
+    st.sampled_from([0, 1, -1, True, False]),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+_REPORT_FIELDS = st.one_of(_VALUES, _VALUES.map(_Obj), st.lists(_VALUES.map(_Obj), max_size=3))
+
+
+@given(_VALUES)
+def test_writer_matches_stdlib(v):
+    assert _json(v) == json.dumps(v, indent=2, sort_keys=True)
+
+
+@given(st.dictionaries(_TEXT, _REPORT_FIELDS, min_size=1))
+def test_streamed_writer_matches_stdlib(data):
+    # _emit's pieces, report objects at the top two levels included, join
+    # to the stdlib text with its to_json default and a newline.
+    text = json.dumps(data, indent=2, sort_keys=True, default=operator.methodcaller("to_json")) + "\n"
+    assert "".join(_pieces(data)) == text
+    assert _json(_Obj(data)) + "\n" == text
 
 
 def test_library_recipe_writes_the_out_bytes(tmp_path):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,6 +28,7 @@ from rankjump.curves import (
     torsion_order,
 )
 from rankjump.errors import PointNotOnCurve, SingularCurve
+from rankjump.rationals import format_rational
 
 
 def test_curve_construction():
@@ -34,7 +36,27 @@ def test_curve_construction():
     assert C.discriminant == 64
     with pytest.raises(SingularCurve):
         curve(0, 0)
+    with pytest.raises(SingularCurve, match=r"^4A\^3\+27B\^2 = 0 for A=-3/4, B=1/4$"):
+        curve(Fraction(-3, 4), Fraction(1, 4))
     curve(-16, 16)  # valid: 4A^3 + 27B^2 = -9472
+
+
+def _singular_pairs():
+    # A = -3s^2, B = 2s^3: x^3 + Ax + B = (x - s)^2 (x + 2s)
+    return st.fractions(max_denominator=50).map(lambda s: (-3 * s * s, 2 * s**3))
+
+
+@given(st.one_of(st.tuples(st.fractions(), st.fractions()), _singular_pairs()))
+def test_singularity_check_agrees_with_discriminant(AB):
+    # Curve tests 4A^3 + 27B^2 = 0 in integers; the discriminant property
+    # computes it in Fractions.
+    A, B = AB
+    if Curve.discriminant.fget(SimpleNamespace(A=A, B=B)) != 0:
+        Curve(A, B)  # no SingularCurve
+        return
+    with pytest.raises(SingularCurve) as exc:
+        Curve(A, B)
+    assert str(exc.value) == f"4A^3+27B^2 = 0 for A={format_rational(A)}, B={format_rational(B)}"
 
 
 def test_add_examples():

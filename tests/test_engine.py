@@ -11,7 +11,7 @@ import pytest
 
 from oracles import reference_scan
 from rankjump import engine
-from rankjump.cli import _JSON
+from rankjump.cli import _json
 from rankjump.curves import curve, integral_model, is_torsion, mul, on_curve, point, point_to_integral
 from rankjump.engine import (
     DEFAULT_SCAN_TOL,
@@ -116,7 +116,7 @@ def test_neron_check_and_billing_refuse_what_validate_rejects(monkeypatch):
 def test_report_text_ignores_context_capitals():
     def text():
         rep = scan(TwistLinear(p=X3_MINUS_X), 2, "total-first", tol="1e-7")
-        return _JSON.encode(rep.to_json()), [c.csv_row() for c in rep.certificates]
+        return _json(rep.to_json()), [c.csv_row() for c in rep.certificates]
 
     with localcontext() as ctx:
         ctx.capitals = 0
@@ -319,7 +319,7 @@ def test_scan_per_param_routing_matches_every_candidate_reference(monkeypatch, c
     f, bound, mode = ROUTING_CASES[case]
     tol = DEFAULT_SCAN_TOL
     ref = reference_scan(f, bound, mode, tol)
-    ref_text = _JSON.encode(ref.to_json())
+    ref_text = _json(ref.to_json())
     grams = _counting(monkeypatch, "gram_certify")
     # scan attempts each param's candidates up to its first certified one
     pts, stats = witness_stream(f, bound, mode)
@@ -341,7 +341,7 @@ def test_scan_per_param_routing_matches_every_candidate_reference(monkeypatch, c
     for jobs in (1, 2):
         grams.clear()
         certifies.clear()
-        assert _JSON.encode(scan(f, bound, mode, tol, jobs).to_json()) == ref_text
+        assert _json(scan(f, bound, mode, tol, jobs).to_json()) == ref_text
         assert len(certifies) == len(needed)
         # each batch computes its distinct Gram keys once; one batch at jobs = 1
         assert {_gram_key(*args) for args in grams} == keys
@@ -379,7 +379,7 @@ def test_scan_with_shared_memos_matches_unshared_reference(monkeypatch, case):
     for jobs in (1, 2, 3):
         rep = scan(f, bound, mode, jobs=jobs)
         assert rep == ref
-        assert _JSON.encode(rep.to_json()) == _JSON.encode(ref.to_json())
+        assert _json(rep.to_json()) == _json(ref.to_json())
         assert len(mapped) == (jobs > 1) and all(len(batches) > 1 for batches in mapped)
         mapped.clear()
 
@@ -425,7 +425,7 @@ def test_isomorphic_candidates_share_the_gram_but_keep_their_own_points():
     assert len(memo) == 2  # one torsion answer, one Gram
     assert [a, b] == [certify_fiber(f, w) for w in ws]  # no memo
     assert a.gram.entries == b.gram.entries and a.gram.heights == b.gram.heights
-    ja, jb = (json.loads(_JSON.encode(c.to_json())) for c in (a, b))
+    ja, jb = (json.loads(_json(c.to_json())) for c in (a, b))
     assert ja["gram"]["entries"] == jb["gram"]["entries"] and ja["heights"] == jb["heights"]
     assert (ja["witness"], ja["gram"]["points"], ja["curve"]) == ("12,36", ["12,36"], {"A": "-36", "B": "0"})
     assert (jb["witness"], jb["gram"]["points"], jb["curve"]) == ("3,9/2", ["3,9/2"], {"A": "-9/4", "B": "0"})
