@@ -25,6 +25,7 @@ from .curves import (
     Point,
     integral_model,
     is_torsion,
+    neg,
     on_curve,
     point_to_integral,
     small_relation_search,
@@ -156,9 +157,10 @@ def certify_fiber(
     A torsion witness never makes a jump: only the non-torsion sections are
     certified.  Otherwise the full Gram certificate is attempted and, on
     failure, retried on the witness singleton (a partial certificate beats
-    none).  Gram refinement may go down to tol/10; it stops at the first
-    positive determinant, so most independent sets resolve well above that
-    depth.
+    none); a set with P = -Q has determinant exactly 0, so then only the
+    singleton is tried.  Gram refinement may go down to tol/10; it stops at
+    the first positive determinant, so most independent sets resolve well
+    above that depth.
 
     The points are mapped once to the fiber's integral model Cm, where the
     torsion screens and the Gram steps run.  Candidates certified with one
@@ -184,6 +186,8 @@ def certify_fiber(
     torsion = _torsion(memo, Cm, u, w.witness)
     # Sections may meet at this parameter; a bound from distinct points is sound.
     pts = list(dict.fromkeys(live_sections + ([] if torsion else [w.witness])))
+    if not torsion and any(neg(P) in pts[i + 1 :] for i, P in enumerate(pts)):
+        pts = [w.witness]
     gram = _gram(memo, Cm, u, pts, gram_tol) if pts else None
     if not torsion and not gram.certified and len(pts) > 1:
         pts = [w.witness]
@@ -267,10 +271,10 @@ def _certify_param(
     return kept, torsion, poles
 
 
-def _certify_batch(args) -> list[tuple[Optional[WitnessCertificate], int, int]]:
-    """_certify_param over a batch of param groups with one memo, which
-    holds an entry per distinct integral key the batch meets and goes when
-    the batch ends."""
+def _certify_share(args) -> list[tuple[Optional[WitnessCertificate], int, int]]:
+    """_certify_param over one share of param groups with one memo, which
+    holds an entry per distinct integral key the share meets and goes when
+    the share ends."""
     f, groups, tol = args
     memo: dict = {}
     return [_certify_param(f, ws, tol, memo) for ws in groups]
@@ -288,14 +292,14 @@ def scan(
     First certified wins; params never certified keep their first attempt
     (status shows why).  Each param's candidates are run in stream order
     until one certifies; later ones are only screened for torsion.  The
-    params go in contiguous batches: one batch when jobs = 1, else about
-    four per worker (pool.map's own chunking), one pool.map item each.  The
-    pool starts at most one worker per batch and per CPU; the batches
-    depend on jobs alone, not on the machine.  A batch's candidates share
-    one memo (see certify_fiber), so isomorphic fibers are certified once
-    per batch.  A memo only saves work and never changes an answer, and the
-    tally depends only on the order within a param, so sequential and
-    parallel runs produce identical reports.
+    params go in stream order in contiguous shares of ceil(params / jobs),
+    so one share (and no pool) when jobs = 1; each share is one pool.map
+    item, and the pool starts one worker per share up to the CPU count.
+    The shares depend on jobs alone, not on the machine.  A share's
+    candidates use one memo (see certify_fiber), so isomorphic fibers are
+    certified once per share.  A memo only saves work and never changes an
+    answer, and the tally depends only on the order within a param, so
+    sequential and parallel runs produce identical reports.
     """
     require_valid(f)
     if jobs < 1:
@@ -306,18 +310,17 @@ def scan(
     for w in points:
         by_param.setdefault(w.param, []).append(w)
     groups = list(by_param.values())
-    # about four batches per worker, as pool.map would chunk the groups
-    size = max(1, len(groups) if jobs == 1 else -(-len(groups) // (4 * jobs)))
-    batches = [(f, groups[i : i + size], tol_d) for i in range(0, len(groups), size)]
+    size = max(1, -(-len(groups) // jobs))
+    shares = [(f, groups[i : i + size], tol_d) for i in range(0, len(groups), size)]
 
-    if len(batches) > 1:
+    if len(shares) > 1:
         import multiprocessing as mp
 
-        with mp.Pool(min(jobs, len(batches), os.cpu_count() or 1)) as pool:
-            per_batch = pool.map(_certify_batch, batches)
+        with mp.Pool(min(len(shares), os.cpu_count() or 1)) as pool:
+            per_share = pool.map(_certify_share, shares)
     else:
-        per_batch = [_certify_batch(b) for b in batches]
-    results = [r for rs in per_batch for r in rs]
+        per_share = [_certify_share(s) for s in shares]
+    results = [r for rs in per_share for r in rs]
 
     kept = [cert for cert, _, _ in results if cert is not None]
     torsion_count = sum(n for _, n, _ in results)

@@ -1,0 +1,119 @@
+"""Mutants that the tests must kill.
+
+Each mutant is one small patch to `src/` that breaks a rule a certificate
+rests on: (file under src/rankjump, old text, new text, test node ids).
+The old text must occur exactly once in the file.  For each mutant the
+runner copies `src/` to a temporary directory, applies the patch there
+and runs the mutant's tests against the copy; the mutant is killed when
+they fail.  First it runs every named test against an unpatched copy, so
+that a test failing for some other reason is not read as a kill.
+
+Run from the repository root (stdlib only; pytest must be installed):
+
+    python tests/mutants.py
+
+It prints one line per mutant and exits 1 when a mutant survives, when a
+patch does not apply, or when the unpatched copy fails a named test.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Seconds a mutant's tests may run before the mutant counts as survived.
+TIMEOUT_S = 120
+
+MUTANTS = (
+    (
+        "engine.py",
+        "jump=not torsion and lb > declared,",
+        "jump=not torsion and lb >= declared,",
+        ["tests/test_engine.py::test_jump_needs_a_bound_above_the_generic_rank"],
+    ),
+    (
+        "intervals.py",
+        "return self.lo > 0",
+        "return self.lo >= 0",
+        ["tests/test_heights.py::test_strictly_positive_excludes_zero"],
+    ),
+    (
+        "curves.py",
+        "return n if n is not None and _mul(C, n, P).is_infinity else None",
+        "return n",
+        ["tests/test_curves.py::test_torsion_screen_point_reducing_to_infinity_at_1009"],
+    ),
+    (
+        "engine.py",
+        "if not torsion and any(neg(P) in pts[i + 1 :] for i, P in enumerate(pts)):",
+        "if any(neg(P) in pts[i + 1 :] for i, P in enumerate(pts)):",
+        ["tests/test_engine.py::test_torsion_witness_keeps_its_section_gram"],
+    ),
+    (
+        "engine.py",
+        "if not torsion and any(neg(P) in pts[i + 1 :] for i, P in enumerate(pts)):",
+        "if not torsion and len(pts) > 1:",
+        ["tests/test_engine.py::test_dependent_pair_goes_straight_to_the_witness"],
+    ),
+)
+
+
+def _copy_src(dest: Path) -> Path:
+    src = dest / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _pytest(src: Path, tests: list[str]) -> tuple[bool, float]:
+    """Run tests against the package under src; (all passed, seconds)."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    cmd += ["-o", f"pythonpath={src}", *tests]
+    t0 = time.perf_counter()
+    try:
+        done = subprocess.run(
+            cmd,
+            cwd=ROOT,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return True, time.perf_counter() - t0
+    return done.returncode == 0, time.perf_counter() - t0
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="rankjump-mutants-") as tmp:
+        named = sorted({t for *_, tests in MUTANTS for t in tests})
+        passed, secs = _pytest(_copy_src(Path(tmp) / "clean"), named)
+        print(f"unpatched copy: named tests {'pass' if passed else 'FAIL'} ({secs:.1f} s)")
+        if not passed:
+            return 1
+        for i, (name, old, new, tests) in enumerate(MUTANTS):
+            src = _copy_src(Path(tmp) / str(i))
+            path = src / "rankjump" / name
+            text = path.read_text()
+            label = f"{name}: {old!r} -> {new!r}"
+            if text.count(old) != 1:
+                print(f"NOT APPLIED {label} (old text occurs {text.count(old)} times)")
+                failures += 1
+                continue
+            path.write_text(text.replace(old, new))
+            passed, secs = _pytest(src, tests)
+            print(f"{'SURVIVED' if passed else 'killed'} ({secs:.1f} s) {label}")
+            failures += passed
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -230,6 +230,45 @@ def reference_gram_certify(C, points, tol):
     return cert, rounds
 
 
+def reference_certify_fiber(f, w, tol):
+    """engine.certify_fiber before its dependent-pair pre-check: a set with
+    P = -Q goes through its Gram, which cannot certify, before the witness
+    singleton is retried.  One fresh memo per call."""
+    from rankjump.curves import integral_model
+    from rankjump.engine import WitnessCertificate, _gram, _gram_tol, _torsion
+
+    gram_tol = _gram_tol(tol)
+    memo = {}
+    declared = f.declared_generic_rank
+    C = w.curve
+    sections = f.sections_at(w.param, C)
+    Cm, u = integral_model(C)
+    live_sections = [P for P in sections if not _torsion(memo, Cm, u, P)]
+    torsion = _torsion(memo, Cm, u, w.witness)
+    pts = list(dict.fromkeys(live_sections + ([] if torsion else [w.witness])))
+    gram = _gram(memo, Cm, u, pts, gram_tol) if pts else None
+    if not torsion and not gram.certified and len(pts) > 1:
+        pts = [w.witness]
+        gram = _gram(memo, Cm, u, pts, gram_tol)
+    lb = len(pts) if gram is not None and gram.certified else 0
+    if torsion:
+        status = "torsion-witness"
+    else:
+        status = "certified" if gram.certified else "inconclusive"
+    return WitnessCertificate(
+        family_id=f.family_id,
+        param=w.param,
+        curve=C,
+        section_points=tuple(sections),
+        witness=w.witness,
+        gram=gram,
+        certified_rank_lb=lb,
+        declared_generic_rank=declared,
+        jump=not torsion and lb > declared,
+        status=status,
+    )
+
+
 def reference_scan(f, bound, mode, tol):
     """engine.scan's serial tally before per-param routing: every candidate
     runs certify_fiber, and the results are tallied in stream order."""

@@ -9,10 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from oracles import reference_scan
+from oracles import reference_certify_fiber, reference_scan
 from rankjump import engine
 from rankjump.cli import _json
-from rankjump.curves import curve, integral_model, is_torsion, mul, on_curve, point, point_to_integral
+from rankjump.curves import (
+    curve,
+    integral_model,
+    is_torsion,
+    mul,
+    neg,
+    on_curve,
+    point,
+    point_to_integral,
+)
 from rankjump.engine import (
     DEFAULT_SCAN_TOL,
     billing_build,
@@ -188,6 +197,59 @@ def test_no_false_jump_on_dependent_witness():
     assert rel is not None  # honest dependence confirmed exactly
 
 
+def _has_negatives(pts) -> bool:
+    return any(neg(P) in pts[i + 1 :] for i, P in enumerate(pts))
+
+
+def test_dependent_pair_goes_straight_to_the_witness(monkeypatch):
+    # PENCIL's fiber-first walk meets W = -S at 12 of its 28 candidates.
+    # certify_fiber gives every candidate the row of the path that first
+    # runs the doomed Gram on {S, W}, and never computes a set that holds
+    # a point and its negative.
+    pts, _ = witness_stream(PENCIL, 4, "fiber-first")
+    minus_s = [w for w in pts if w.witness == neg(PENCIL.sections_at(w.param, w.curve)[0])]
+    assert (len(minus_s), len(pts)) == (12, 28)
+    computed = _counting(monkeypatch, "gram_certify")
+    refs = [reference_certify_fiber(PENCIL, w, DEFAULT_SCAN_TOL) for w in pts]
+    assert any(_has_negatives(ipts) for _, ipts, _ in computed)
+    computed.clear()
+    assert [certify_fiber(PENCIL, w) for w in pts] == refs
+    assert computed and not any(_has_negatives(ipts) for _, ipts, _ in computed)
+    rows = [c for c, w in zip(refs, pts) if w in minus_s and c.status != "torsion-witness"]
+    assert rows and all(c.gram.points == (c.witness,) for c in rows)
+
+
+def test_jump_needs_a_bound_above_the_generic_rank():
+    # At lam = 2, W = -S = (2, -2) certifies alone: rank >= 1, which is
+    # PENCIL's declared generic rank, so the row is no jump.
+    C = fiber_at(PENCIL, 2)
+    cert = certify_fiber(PENCIL, TotalSpacePoint(param=Fraction(2), curve=C, witness=point(2, -2)))
+    assert cert.status == "certified" and cert.gram.points == (point(2, -2),)
+    assert cert.certified_rank_lb == cert.declared_generic_rank == 1
+    assert not cert.jump
+
+
+# y^2 = x^3 + (lam^2 - 1) x: (0, 0) is 2-torsion on every fiber, and
+# (1, lam) and its negative (1, -lam) are sections.
+S_PLUS = (ratfunc([1]), ratfunc([0, 1]))
+S_MINUS = (ratfunc([1]), ratfunc([0, -1]))
+
+
+@pytest.mark.parametrize("sections", [(S_PLUS,), (S_PLUS, S_MINUS)], ids=["S", "S,-S"])
+def test_torsion_witness_keeps_its_section_gram(sections):
+    # A torsion witness is never certified, so its row shows the Gram of
+    # the live sections, even when two of them are negatives.
+    f = WeierstrassPencil(A=ratfunc([-1, 0, 1]), B=ratfunc([0]), sections=sections)
+    lam = Fraction(2)
+    C = fiber_at(f, lam)
+    w = TotalSpacePoint(param=lam, curve=C, witness=point(0, 0))
+    cert = certify_fiber(f, w)
+    assert cert == reference_certify_fiber(f, w, DEFAULT_SCAN_TOL)
+    assert cert.status == "torsion-witness" and not cert.jump
+    assert cert.gram.points == tuple(f.sections_at(lam, C))
+    assert cert.gram.certified == (len(sections) == 1)
+
+
 def test_scan_twist_linear():
     rep = scan(TwistLinear(p=X3_MINUS_X), 2, "total-first")
     certified = rep.certified_params()
@@ -259,9 +321,11 @@ def _param_groups(f, bound, mode) -> list:
 
 
 def test_scan_starts_at_most_one_worker_per_param(monkeypatch):
-    # The pool is capped at the machine's CPU count (1 when it is unknown),
-    # so a huge --jobs starts no more workers than the machine has; the
-    # batches and the report do not depend on the cap.
+    # The params go in stream order in contiguous shares of
+    # ceil(params / jobs), here min(jobs, params) of them.  The pool is
+    # capped at the machine's CPU count (1 when it is unknown), so a huge
+    # --jobs starts no more workers than the machine has; the shares and
+    # the report do not depend on the cap.
     sizes, mapped = _serial_pool(monkeypatch)
     f = TwistLinear(p=X3_MINUS_X)
     groups = _param_groups(f, 3, "total-first")
@@ -273,13 +337,15 @@ def test_scan_starts_at_most_one_worker_per_param(monkeypatch):
             sizes.clear()
             mapped.clear()
             assert scan(f, 3, "total-first", jobs=jobs) == serial
-            (batches,) = mapped
-            assert sizes == [min(jobs, len(batches), cpus or 1)]
-            assert 1 < len(batches) <= min(4 * jobs, len(groups))
-            assert all(b for _, b, _ in batches)
-            assert [ws for _, b, _ in batches for ws in b] == groups
-        # one param per batch at the largest jobs
-        assert len(batches) == len(groups) and sizes == [min(len(groups), cpus or 1)]
+            (shares,) = mapped
+            assert len(shares) == min(jobs, len(groups))
+            assert sizes == [min(len(shares), cpus or 1)]
+            size = -(-len(groups) // jobs)
+            assert all(len(s) == size for _, s, _ in shares[:-1])
+            assert 1 <= len(shares[-1][1]) <= size
+            assert [ws for _, s, _ in shares for ws in s] == groups
+        # one param per share at the largest jobs
+        assert len(shares) == len(groups) and sizes == [min(len(groups), cpus or 1)]
 
 
 # Y^2 = X^3 + lam^2 X - 1 with section (1/lam^2, 1/lam^3): the fiber at
@@ -343,7 +409,7 @@ def test_scan_per_param_routing_matches_every_candidate_reference(monkeypatch, c
         certifies.clear()
         assert _json(scan(f, bound, mode, tol, jobs).to_json()) == ref_text
         assert len(certifies) == len(needed)
-        # each batch computes its distinct Gram keys once; one batch at jobs = 1
+        # each share computes its distinct Gram keys once; one share at jobs = 1
         assert {_gram_key(*args) for args in grams} == keys
         assert len(keys) <= len(grams) <= needed_grams and (jobs > 1 or len(grams) == len(keys))
     assert skipped
@@ -380,7 +446,7 @@ def test_scan_with_shared_memos_matches_unshared_reference(monkeypatch, case):
         rep = scan(f, bound, mode, jobs=jobs)
         assert rep == ref
         assert _json(rep.to_json()) == _json(ref.to_json())
-        assert len(mapped) == (jobs > 1) and all(len(batches) > 1 for batches in mapped)
+        assert len(mapped) == (jobs > 1) and all(len(shares) > 1 for shares in mapped)
         mapped.clear()
 
 
@@ -391,17 +457,36 @@ def _gram_key(Cm, ipts, tol) -> tuple:
 
 
 def test_scan_computes_each_gram_key_once(monkeypatch):
+    # One memo per share: a share computes each Gram key it meets once.
     f, bound, mode = MEMO_CASES["x3-x"]
     attempts = _counting(monkeypatch, "_gram")
     computed = _counting(monkeypatch, "gram_certify")
-    scan(f, bound, mode)
-    want = {
-        _gram_key(Cm, [point_to_integral(P, u) for P in pts], tol)
-        for _, Cm, u, pts, tol in attempts
-    }
-    keys = [_gram_key(*args) for args in computed]
-    assert len(keys) == len(set(keys)) == len(want) and set(keys) == want
-    assert len(computed) * 2 < len(attempts)
+    ends = []  # (attempts, computations) made by the end of each share
+    certify_share = engine._certify_share
+
+    def counted_share(args):
+        out = certify_share(args)
+        ends.append((len(attempts), len(computed)))
+        return out
+
+    monkeypatch.setattr(engine, "_certify_share", counted_share)
+    _serial_pool(monkeypatch)
+    for jobs in (1, 2):
+        attempts.clear()
+        computed.clear()
+        ends.clear()
+        scan(f, bound, mode, jobs=jobs)
+        assert len(ends) == jobs
+        a0 = c0 = 0
+        for a1, c1 in ends:
+            want = {
+                _gram_key(Cm, [point_to_integral(P, u) for P in pts], tol)
+                for _, Cm, u, pts, tol in attempts[a0:a1]
+            }
+            keys = [_gram_key(*args) for args in computed[c0:c1]]
+            assert len(keys) == len(set(keys)) == len(want) and set(keys) == want
+            a0, c0 = a1, c1
+        assert len(computed) * 2 < len(attempts)
 
 
 def _isomorphic_candidates() -> list:

@@ -257,6 +257,15 @@ def test_interval_arithmetic_soundness():
     assert d.lo <= Decimal("2.5") and d.hi >= Decimal("5.5")
 
 
+def test_strictly_positive_excludes_zero():
+    # A Gram certifies only on det.lo > 0: an enclosure reaching down to
+    # exactly 0 proves nothing.
+    assert not Interval(Decimal(0), Decimal(1)).strictly_positive()
+    assert not Interval.exact(0).strictly_positive()
+    assert not Interval(Decimal("-1e-30"), Decimal(1)).strictly_positive()
+    assert Interval(Decimal("1e-30"), Decimal(1)).strictly_positive()
+
+
 def test_det_interval_vs_exact():
     rng = random.Random(11)
     for n in (1, 2, 3, 4, 5, 6, 7, 8):
