@@ -150,6 +150,8 @@ def workdir(tmp_path_factory):
             }
         )
     )
+    for name, family in RATIONAL_TWISTS.items():
+        (d / name).write_text(json.dumps(family))
     return d
 
 
@@ -314,6 +316,57 @@ def test_twist_total_first_bytes(workdir, family_file):
     out_name = f"total_first_{family_file}"
     _run_scan(workdir, family_file, bound, "total-first", out_name)
     assert _digests(workdir / out_name) == want
+
+
+# Twists with non-integer coefficients: every fiber needs a scale u > 1 to
+# reach its integral model.  twist_quadratic with c = 3/2, a = -5/4 and
+# p = x^3 + x^2/3 - x + 1/2 (depression shift 1/9); twist_poly with
+# d = (t - 1/2)(t + 3)/2 (two degenerate params) and p = x^3 + x^2 - x
+# (shift 1/3, and the root x = 0 puts a 2-torsion witness on every fiber).
+RATIONAL_TWISTS = {
+    "twistquad_rational.json": {
+        "kind": "twist_quadratic",
+        "c": "3/2",
+        "a": "-5/4",
+        "p": ["1/2", "-1", "1/3", "1"],
+    },
+    "twistpoly_rational.json": {
+        "kind": "twist_poly",
+        "d": ["-3/4", "5/4", "1/2"],
+        "p": ["0", "-1", "1", "1"],
+    },
+}
+
+# (family file, mode) -> digests of the bound-16 scan.
+RATIONAL_TWIST_DIGESTS = {
+    ("twistquad_rational.json", "fiber-first"): {
+        "": "aeb0d1c7fc41e0296f5534ff2c2ac1943aaa5dccb435b371b2a4e62a8191b49f",
+        ".density.json": "f469ab1c78bade1c929e8ca63699c37977335bf43b6fcb9c80480f0ce868aa31",
+        ".histogram.csv": "0cd4d2c422db1829282abfe18d5f5709be1d38b13efee187ca97dc8463bd2f75",
+    },
+    ("twistquad_rational.json", "total-first"): {
+        "": "6afa8cee1d4a098a2ef1d62d9414ae2e4749021dea13310169d1d24dfc992761",
+        ".density.json": "24ef48da13f10a9408a1acec22881a381dc2def15667b10ad463f4dd40254bee",
+        ".histogram.csv": "f80822b1dc3cc7ebe8be440e2e2c1461409336a86ebc269ff3269fb6baf1214e",
+    },
+    ("twistpoly_rational.json", "fiber-first"): {
+        "": "23e791aabda1d350c420b9926dfd013d03ac7f6e9a779b41d694d1a988d5d0d5",
+        ".density.json": "40769325cfe713301d9b346c366cc79515b372f7c28267f5ca7a50bb0646b2ec",
+        ".histogram.csv": "ce7c376f0cfbc3da65c4adeed7c561b3a73015eaaab072b7726f7b6267521030",
+    },
+    ("twistpoly_rational.json", "total-first"): {
+        "": "952cc08df0f89020c7f326cafdf70480d3682fc8117431d6094a5fbb80fb108e",
+        ".density.json": "40769325cfe713301d9b346c366cc79515b372f7c28267f5ca7a50bb0646b2ec",
+        ".histogram.csv": "ce7c376f0cfbc3da65c4adeed7c561b3a73015eaaab072b7726f7b6267521030",
+    },
+}
+
+
+@pytest.mark.parametrize("family_file, mode", sorted(RATIONAL_TWIST_DIGESTS))
+def test_rational_coefficient_twist_bytes(workdir, family_file, mode):
+    out_name = f"rational_{mode}_{family_file}"
+    _run_scan(workdir, family_file, 16, mode, out_name)
+    assert _digests(workdir / out_name) == RATIONAL_TWIST_DIGESTS[(family_file, mode)]
 
 
 # sha256 of the default-format (CSV) scan report: n_sections 0 and 1, rank

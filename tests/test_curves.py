@@ -11,6 +11,7 @@ from rankjump.curves import (
     Curve,
     INFINITY,
     CurveFp,
+    Point,
     add,
     curve,
     good_primes,
@@ -366,6 +367,37 @@ def test_integral_model_moves_the_screen_prime_and_keeps_the_order():
         assert torsion_order(C, P) == want
         orders.add(want)
     assert None in orders and len(orders) > 5
+
+
+def _reduction_rule(C, P):
+    """The module's torsion rule spelled out: the order n of P at the first
+    good prime >= 1009, kept only if the exact n P is O."""
+    cfp, R = reduce_mod_p(C, P, good_primes(C, 1, SCREEN_PRIME_START)[0])
+    n = cfp.order(R)
+    return n if n is not None and mul(C, n, P).is_infinity else None
+
+
+@given(
+    st.fractions(-20, 20, max_denominator=6),
+    st.fractions(-20, 20, max_denominator=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_two_torsion_answer_equals_the_reduction_rule(e, A):
+    # (e, 0) lies on y^2 = x^3 + Ax + B for B = -e^3 - Ae.
+    B = -(e**3) - A * e
+    assume(4 * A**3 + 27 * B**2 != 0)
+    C, P = Curve(A, B), Point(e, Fraction(0))
+    assert torsion_order(C, P) == _reduction_rule(C, P) == 2
+
+
+def test_off_curve_point_with_y_zero_still_raises():
+    # y = 0 answers "order 2" only for a point on the curve.
+    for C, P in ((curve(-1, 0), point(2, 0)), (curve(0, 1), point(0, 0))):
+        assert not on_curve(C, P)
+        with pytest.raises(PointNotOnCurve):
+            torsion_order(C, P)
+        with pytest.raises(PointNotOnCurve):
+            is_torsion(C, P)
 
 
 def test_reduce_mod_p_non_integral_curve():
