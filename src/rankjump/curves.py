@@ -200,15 +200,18 @@ def is_torsion(C: Curve, P: Point) -> bool:
 def torsion_order(C: Curve, P: Point) -> Optional[int]:
     """Order of P when <= 12, else None.
 
-    Decided at the first good prime p >= 1009 (AEC VII.3): reduction is
-    injective on torsion, so the order n of P mod p is the only possible
-    order of P, confirmed by one exact n P = O. When no n <= 12 kills
-    P mod p, P has no order <= 12; when P != O reduces to O, n = 1 and
-    the exact check rejects it (E_1(Q_p) is torsion-free).
+    A point on C with y = 0 has order 2 (P = -P != O), with no reduction.
+    Any other P is decided at the first good prime p >= 1009 (AEC VII.3):
+    reduction is injective on torsion, so the order n of P mod p is the
+    only possible order of P, confirmed by one exact n P = O. When no
+    n <= 12 kills P mod p, P has no order <= 12; when P != O reduces to O,
+    n = 1 and the exact check rejects it (E_1(Q_p) is torsion-free).
     """
     if P.is_infinity:
         return 1
     require_on_curve(C, P)
+    if P.y == 0:
+        return 2
     cfp = _curve_mod(C, good_primes(C, 1, SCREEN_PRIME_START)[0])
     n = cfp.order(cfp.reduce(P))
     return n if n is not None and _mul(C, n, P).is_infinity else None

@@ -51,7 +51,7 @@ from .families import (
     require_valid,
     witness_stream,
 )
-from .heights import GramCertificate, gram_certify, tolerance
+from .heights import GramCertificate, gram_certify, model_of, tolerance
 from .intervals import CTX
 from .polynomials import Poly, poly_eval
 from .rationals import format_rational, is_rational_square, iter_rationals, rat_height
@@ -137,19 +137,28 @@ def _torsion(memo: dict, Cm: Curve, u: int, P: Point) -> bool:
 
 
 def _gram(memo: dict, Cm: Curve, u: int, pts: list[Point], tol: Decimal) -> GramCertificate:
-    """gram_certify for pts on the curve with integral model Cm and scale u,
-    once per memo key (A, B, tol, four ints per integral point); the
-    certificate carries pts themselves."""
+    """gram_certify for non-torsion pts on the curve with integral model Cm
+    and scale u, once per memo key (A, B, tol, four ints per integral
+    point), given Cm's height model, which the memo keeps once per key
+    (A, B); the certificate carries pts themselves."""
     ipts = [point_to_integral(P, u) for P in pts]
-    key = (Cm.A.numerator, Cm.B.numerator, tol, *(n for P in ipts for n in _ints(P)))
+    A, B = Cm.A.numerator, Cm.B.numerator
+    key = (A, B, tol, *(n for P in ipts for n in _ints(P)))
     cert = memo.get(key)
     if cert is None:
-        cert = memo[key] = gram_certify(Cm, ipts, tol)
+        model = memo.get((A, B))
+        if model is None:
+            model = memo[(A, B)] = model_of(Cm)[0]
+        cert = memo[key] = gram_certify(Cm, ipts, tol, model)
     return replace(cert, points=tuple(pts))
 
 
 def certify_fiber(
-    f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL, memo: Optional[dict] = None
+    f: Family,
+    w: TotalSpacePoint,
+    tol=DEFAULT_SCAN_TOL,
+    memo: Optional[dict] = None,
+    integral: Optional[tuple[Curve, int]] = None,
 ) -> WitnessCertificate:
     """Assemble and certify the point set {specialized sections} + {witness}
     on the candidate's fiber w.curve.
@@ -163,11 +172,15 @@ def certify_fiber(
     above that depth.
 
     The points are mapped once to the fiber's integral model Cm, where the
-    torsion screens and the Gram steps run.  Candidates certified with one
-    memo dict compute each torsion status and each Gram outcome once per
-    integral model and integral points: (x, y) -> (u^2 x, u^3 y) preserves
-    torsion, canonical heights and the group law, so a shared answer is the
-    one this fiber would compute.  The certificate keeps its own curve,
+    torsion screens and the Gram steps run; integral, when given, is
+    integral_model(w.curve), which a caller with several candidates on one
+    fiber computes once.  Candidates certified with one memo dict compute
+    each torsion status and each Gram outcome once per integral model and
+    integral points, and each model's height constants once per (A, B):
+    (x, y) -> (u^2 x, u^3 y) preserves torsion, canonical heights and the
+    group law, so a shared answer is the one this fiber would compute.  A
+    Gram gets only points screened non-torsion here, so it skips their
+    torsion screen (see gram_certify).  The certificate keeps its own curve,
     sections and witness.
 
     No point is checked on the fiber here.  A miss checks it on Cm
@@ -181,7 +194,7 @@ def certify_fiber(
     declared = f.declared_generic_rank
     C = w.curve
     sections = f.sections_at(w.param, C)
-    Cm, u = integral_model(C)
+    Cm, u = integral_model(C) if integral is None else integral
     live_sections = [P for P in sections if not _torsion(memo, Cm, u, P)]
     torsion = _torsion(memo, Cm, u, w.witness)
     # Sections may meet at this parameter; a bound from distinct points is sound.
@@ -253,15 +266,21 @@ def _certify_param(
     certify_fiber runs until a candidate certifies; the report never keeps
     a later candidate's certificate, so after that only its torsion status
     counts.  No pole can follow: the sections depend only on the param.
+    The candidates share their fiber, which is mapped to its integral model
+    once (again only if a candidate brings a different curve).
     """
     kept: Optional[WitnessCertificate] = None
     torsion = poles = 0
+    C = integral = None
     for w in ws:
+        if w.curve != C:
+            C = w.curve
+            integral = integral_model(C)
         if kept is not None and kept.status == "certified":
-            torsion += _torsion(memo, *integral_model(w.curve), w.witness)
+            torsion += _torsion(memo, *integral, w.witness)
             continue
         try:
-            cert = certify_fiber(f, w, tol, memo)
+            cert = certify_fiber(f, w, tol, memo, integral)
         except PoleAtPoint:
             poles += 1
             continue
@@ -292,14 +311,15 @@ def scan(
     First certified wins; params never certified keep their first attempt
     (status shows why).  Each param's candidates are run in stream order
     until one certifies; later ones are only screened for torsion.  The
-    params go in stream order in contiguous shares of ceil(params / jobs),
-    so one share (and no pool) when jobs = 1; each share is one pool.map
-    item, and the pool starts one worker per share up to the CPU count.
-    The shares depend on jobs alone, not on the machine.  A share's
-    candidates use one memo (see certify_fiber), so isomorphic fibers are
-    certified once per share.  A memo only saves work and never changes an
-    answer, and the tally depends only on the order within a param, so
-    sequential and parallel runs produce identical reports.
+    params go in stream order in min(jobs, params) contiguous shares whose
+    sizes differ by at most 1, so one share (and no pool) when jobs = 1;
+    each share is one pool.map item, and the pool starts one worker per
+    share up to the CPU count.  The shares depend on jobs alone, not on the
+    machine.  A share's candidates use one memo (see certify_fiber), so
+    isomorphic fibers are certified once per share.  A memo only saves work
+    and never changes an answer, and the tally depends only on the order
+    within a param, so sequential and parallel runs produce identical
+    reports.
     """
     require_valid(f)
     if jobs < 1:
@@ -310,8 +330,8 @@ def scan(
     for w in points:
         by_param.setdefault(w.param, []).append(w)
     groups = list(by_param.values())
-    size = max(1, -(-len(groups) // jobs))
-    shares = [(f, groups[i : i + size], tol_d) for i in range(0, len(groups), size)]
+    n, k = len(groups), min(jobs, len(groups))
+    shares = [(f, groups[i * n // k : (i + 1) * n // k], tol_d) for i in range(k)]
 
     if len(shares) > 1:
         import multiprocessing as mp

@@ -4,16 +4,23 @@ and F2 linear algebra on square classes.
 A class of Q*/(Q*)^2 is named by its signed squarefree integer s: the
 sign is its F2 sign bit and the primes of |s| are its other bits.
 
-Trial division runs over the primes below 1000; anything left is split
-with Brent's variant of Pollard rho after a deterministic Miller-Rabin
-test.  Measured traffic: 42,395 factorizations over the twist_quadratic
+Trial division runs over the primes below 1000 and stops at the first
+prime p with p^2 above what is left.  A cofactor left below 1009^2 is
+then 1 or a prime: it has no prime factor below p (below 1009 when the
+loop ran out), and a composite has one at most its square root.  Only a
+cofactor of at least 1009^2 goes to the deterministic Miller-Rabin test
+and, when composite, to Brent's variant of Pollard rho.
+
+Measured traffic: 42,395 factorizations over the twist_quadratic
 bound 40 fiber-first, twist_linear bound 8 total-first and pencil bound 8
 fiber-first scans of perfbench's 13 instances, the cubic pencil at bound
 12 and `billing` of x^3 - x at rank 3, bound 10.  The largest input had
 62 bits (cubic pencil).  Only the twist fiber-first square-class join
 (one class per p(x0) and per d(lam), inputs up to 36 bits) left a prime
 factor of 1000 or more after trial division: 656-769 of its about 3,900
-factorizations per twist_quadratic scan.  No other input did.
+factorizations per twist_quadratic scan.  No other input did, and no
+cofactor reached 1009^2, so none of these runs calls Miller-Rabin from
+`factorize`.
 """
 
 from __future__ import annotations
@@ -51,6 +58,9 @@ def is_probable_prime(n: int) -> bool:
 
 
 _TRIAL_PRIMES = tuple(p for p in range(1000) if is_probable_prime(p))
+
+# The least prime above the trial primes: a cofactor below its square is prime.
+_NEXT_PRIME = 1009
 
 
 def _brent_rho(n: int) -> int:
@@ -93,7 +103,9 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n == 1:
+    if n < _NEXT_PRIME * _NEXT_PRIME:
+        if n > 1:
+            out[n] = 1
         return dict(sorted(out.items()))
     stack = [n]
     while stack:

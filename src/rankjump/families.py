@@ -17,8 +17,8 @@ itself: identifier, declared generic rank, sections, validation findings,
 fiber at a parameter, witness walks, the map `point` from a walk's point
 into its fiber, and sign regions.  Its JSON fields are its dataclass
 fields.  What depends on the family alone (its identifier, a twist's
-depressed cubic and d(t)) is computed once per family object and cached on
-it; the cache is not a field, so equality, hashing and the JSON form
+depressed cubic, d(t) and the integer forms of p and d) is computed once
+per family object and cached on it; the cache is not a field, so equality, hashing and the JSON form
 ignore it.  Module-level code is what no single kind owns: the JSON codec,
 the `witness_stream` driver, and the public entry points `validate_family`,
 `require_valid` (the admission rule that `scan`, `neron_check` and
@@ -44,13 +44,16 @@ from .errors import (
     PoleAtPoint,
     SingularCurve,
 )
-from .factorization import squarefree_part_of_rational
+from .factorization import squarefree_part
 from .polynomials import (
+    IntForm,
     Poly,
     RatFunc,
     degree,
     depress_cubic,
     format_poly,
+    int_form,
+    int_form_eval,
     is_squarefree,
     parse_poly,
     poly,
@@ -182,6 +185,11 @@ class _Twist(Family):
         """(A, B, s): p(x - s) = x^3 + Ax + B."""
         return depress_cubic(self.p)
 
+    @cached_property
+    def forms(self) -> tuple[IntForm, IntForm]:
+        """The integer forms (int_form) of p and d, which the walks evaluate."""
+        return int_form(self.p), int_form(self.d)
+
     def fiber(self, lam: Fraction) -> Curve:
         return self._fiber(lam, poly_eval(self.d, lam))
 
@@ -232,44 +240,56 @@ class _Twist(Family):
         merged once into every list at their place in walk order, and are
         the whole list of a class no other x0 fills.  So each lam yields its
         witnesses in the order of a (lam, x0) double loop over the rationals.
+
+        p and d are evaluated as integer forms: a value N / D has the class
+        of N D, and a Fraction is built only for each value kept.  A lam
+        with no witness gets no fiber.
         """
         rats = list(iter_rationals(bound))
+        pf, df = self.forms
         roots: list[tuple[int, Fraction, Fraction]] = []
         buckets: dict[int, list[tuple[int, Fraction, Fraction]]] = {}
         for i, x0 in enumerate(rats):
-            v = poly_eval(self.p, x0)
-            if v == 0:
-                roots.append((i, x0, v))
+            N, D = int_form_eval(pf, x0)
+            if N == 0:
+                roots.append((i, x0, Fraction(0)))
             else:
-                cls = squarefree_part_of_rational(v)
-                buckets.setdefault(cls, []).append((i, x0, v))
+                buckets.setdefault(squarefree_part(N * D), []).append((i, x0, Fraction(N, D)))
         for xs in buckets.values():
             xs += roots
             xs.sort()
         for lam in rats:
-            d0 = poly_eval(self.d, lam)
-            if d0 == 0:
+            N, D = int_form_eval(df, lam)
+            if N == 0:
                 stats.degenerate_skipped += 1
                 continue
+            xs = buckets.get(squarefree_part(N * D), roots)
+            if not xs:
+                continue
+            d0 = Fraction(N, D)
             C = self._fiber(lam, d0)
-            for _, x0, v in buckets.get(squarefree_part_of_rational(d0), roots):
+            for _, x0, v in xs:
                 stats.enumerated += 1
                 yield self.point(C, lam, d0, x0, is_rational_square(v / d0), v)
 
     def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
         """Rationals x0 and y0 > 0 with p(x0) != 0, read in the fiber at each
         rational t the kind's `_params` solves from d(t) = d0 = p(x0)/y0^2.
-        A param and x0 fix y0^2, so walking y0 > 0 emits each point once."""
+        A param and x0 fix y0^2, so walking y0 > 0 emits each point once.
+        p(x0) = N / D is evaluated as p's integer form, and d0 is built
+        straight from N, D and y0."""
         rats = list(iter_rationals(bound))
-        ys = [y0 for y0 in rats if y0 > 0]
+        ys = [(y0, y0.numerator**2, y0.denominator**2) for y0 in rats if y0 > 0]
+        pf = self.forms[0]
         for x0 in rats:
-            v = poly_eval(self.p, x0)
-            for y0 in ys:
+            N, D = int_form_eval(pf, x0)
+            v = Fraction(N, D)
+            for y0, n2, d2 in ys:
                 stats.enumerated += 1
-                if v == 0:
+                if N == 0:
                     stats.degenerate_skipped += 1
                     continue
-                d0 = v / (y0 * y0)
+                d0 = Fraction(N * d2, D * n2)
                 for t in self._params(d0):
                     yield self.point(self._fiber(t, d0), t, d0, x0, y0, v)
 

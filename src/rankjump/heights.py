@@ -277,13 +277,24 @@ class GramCertificate:
         }
 
 
-def gram_certify(C: Curve, points: Sequence[Point], tol) -> GramCertificate:
+def gram_certify(
+    C: Curve, points: Sequence[Point], tol, model: Optional[_Model] = None
+) -> GramCertificate:
     """Certify independence of points via a positive interval Gram determinant.
 
     The points are checked on C (on the curve, pairwise distinct), then
     mapped to C's integral model, where the heights are refined; sums are
     taken there too.  The map preserves canonical heights, torsion and the
     group law, so the outcome is the one C would give.
+
+    A caller that holds model_of(C)'s model may pass it (ValueError if it is
+    another curve's), and then vouches that the points are not torsion: its
+    defect logarithms are reused, and the points' own chains start without
+    a torsion screen.  The sums P_i + P_j are still screened.  A torsion
+    point passed anyway cannot certify, since its enclosure, like every
+    enclosure here, contains its true height 0, so the determinant's
+    contains 0 too; a point of even order may instead end the doubling
+    with ArithmeticError.
 
     All height chains advance together, one doubling per round, until
     either the determinant's lower bound turns positive (early success),
@@ -303,7 +314,10 @@ def gram_certify(C: Curve, points: Sequence[Point], tol) -> GramCertificate:
     if len({(P.x, P.y) for P in pts}) != len(pts):
         raise ValueError("points must be pairwise distinct")
 
-    m, u = model_of(C)
+    Cm, u = integral_model(C)
+    if model is not None and model.curve != Cm:
+        raise ValueError(f"the model {model.curve} is not the integral model of {C}")
+    m = _Model(Cm) if model is None else model
     try:
         target = depth_for_tolerance(m.alpha, m.beta, tol_d)
     except ToleranceUnreachable:
@@ -312,7 +326,7 @@ def gram_certify(C: Curve, points: Sequence[Point], tol) -> GramCertificate:
     k = len(pts)
     chains: dict[tuple[int, int], Optional[XChain]] = {}
     for i in range(k):
-        chains[(i, i)] = m.chain(ipts[i])
+        chains[(i, i)] = m.chain(ipts[i]) if model is None else XChain(Cm, ipts[i])
         for j in range(i + 1, k):
             chains[(i, j)] = m.chain(add(m.curve, ipts[i], ipts[j]))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import PoleAtPoint
@@ -65,6 +66,32 @@ def poly_eval(p: Poly, q: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * q + c
     return acc
+
+
+# (F, L): F = L p has integer coefficients, L > 0 their least common denominator.
+IntForm = tuple[tuple[int, ...], int]
+
+
+def int_form(p: Poly) -> IntForm:
+    """p as the integer polynomial L p and L, the least common denominator
+    of its coefficients."""
+    L = lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (L // c.denominator) for c in p), L
+
+
+def int_form_eval(form: IntForm, q: Fraction) -> tuple[int, int]:
+    """(N, D) with p(q) = N / D and D > 0, for form = int_form(p): with
+    q = u/v and n = deg p, N = v^n (L p)(u/v) (homogeneous Horner) and
+    D = L v^n.  N / D need not be reduced; its square class is that of N D."""
+    F, L = form
+    if not F:
+        return 0, L
+    u, v = q.numerator, q.denominator
+    N, w = 0, 1
+    for c in reversed(F):
+        N = N * u + c * w
+        w *= v
+    return N, L * (w // v)
 
 
 def poly_derivative(p: Poly) -> Poly:

@@ -62,6 +62,27 @@ MUTANTS = (
         "if not torsion and len(pts) > 1:",
         ["tests/test_engine.py::test_dependent_pair_goes_straight_to_the_witness"],
     ),
+    (
+        "factorization.py",
+        "if p * p > n:",
+        "if p * p >= n:",
+        [
+            "tests/test_factorization.py::"
+            "test_factorize_trusts_only_a_cofactor_that_trial_division_proves_prime"
+        ],
+    ),
+    (
+        "curves.py",
+        "require_on_curve(C, P)\n    if P.y == 0:\n        return 2\n",
+        "if P.y == 0:\n        return 2\n    require_on_curve(C, P)\n",
+        ["tests/test_curves.py::test_off_curve_point_with_y_zero_still_raises"],
+    ),
+    (
+        "engine.py",
+        "model = memo.get((A, B))\n        if model is None:\n            model = memo[(A, B)] =",
+        "model = memo.get((A,))\n        if model is None:\n            model = memo[(A,)] =",
+        ["tests/test_engine.py::test_height_models_are_kept_per_integral_curve"],
+    ),
 )
 
 

@@ -211,10 +211,10 @@ def test_dependent_pair_goes_straight_to_the_witness(monkeypatch):
     assert (len(minus_s), len(pts)) == (12, 28)
     computed = _counting(monkeypatch, "gram_certify")
     refs = [reference_certify_fiber(PENCIL, w, DEFAULT_SCAN_TOL) for w in pts]
-    assert any(_has_negatives(ipts) for _, ipts, _ in computed)
+    assert any(_has_negatives(ipts) for _, ipts, *_ in computed)
     computed.clear()
     assert [certify_fiber(PENCIL, w) for w in pts] == refs
-    assert computed and not any(_has_negatives(ipts) for _, ipts, _ in computed)
+    assert computed and not any(_has_negatives(ipts) for _, ipts, *_ in computed)
     rows = [c for c, w in zip(refs, pts) if w in minus_s and c.status != "torsion-witness"]
     assert rows and all(c.gram.points == (c.witness,) for c in rows)
 
@@ -320,12 +320,20 @@ def _param_groups(f, bound, mode) -> list:
     return list(groups.values())
 
 
+def _check_shares(shares, groups, jobs) -> None:
+    """min(jobs, params) contiguous shares in stream order, sizes within 1."""
+    sizes = [len(s) for _, s, _ in shares]
+    assert len(shares) == min(jobs, len(groups))
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert [ws for _, s, _ in shares for ws in s] == groups
+
+
 def test_scan_starts_at_most_one_worker_per_param(monkeypatch):
-    # The params go in stream order in contiguous shares of
-    # ceil(params / jobs), here min(jobs, params) of them.  The pool is
-    # capped at the machine's CPU count (1 when it is unknown), so a huge
-    # --jobs starts no more workers than the machine has; the shares and
-    # the report do not depend on the cap.
+    # The params go in stream order in min(jobs, params) contiguous shares
+    # whose sizes differ by at most 1.  The pool is capped at the machine's
+    # CPU count (1 when it is unknown), so a huge --jobs starts no more
+    # workers than the machine has; the shares and the report do not
+    # depend on the cap.
     sizes, mapped = _serial_pool(monkeypatch)
     f = TwistLinear(p=X3_MINUS_X)
     groups = _param_groups(f, 3, "total-first")
@@ -333,19 +341,33 @@ def test_scan_starts_at_most_one_worker_per_param(monkeypatch):
     assert not sizes and 8 < len(groups) < serial.candidates
     for cpus in (None, 3, 10**6):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        for jobs in (2, 3, len(groups) + 5, 10**6):
+        for jobs in (2, 3, 4, len(groups) + 5, 10**6):
             sizes.clear()
             mapped.clear()
             assert scan(f, 3, "total-first", jobs=jobs) == serial
             (shares,) = mapped
-            assert len(shares) == min(jobs, len(groups))
+            _check_shares(shares, groups, jobs)
             assert sizes == [min(len(shares), cpus or 1)]
-            size = -(-len(groups) // jobs)
-            assert all(len(s) == size for _, s, _ in shares[:-1])
-            assert 1 <= len(shares[-1][1]) <= size
-            assert [ws for _, s, _ in shares for ws in s] == groups
         # one param per share at the largest jobs
         assert len(shares) == len(groups) and sizes == [min(len(groups), cpus or 1)]
+    # Every asked-for worker gets a share: at --jobs 4, 9 params are shares
+    # of 2, 2, 2 and 3 (not 3 of 3) and 5 params of 1, 1, 1 and 2 (not 2, 2
+    # and 1).  The stream is the candidates of the first n params.
+    pts, stats = witness_stream(f, 3, "total-first")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for n in (9, 5):
+        keep = list(dict.fromkeys(w.param for w in pts))[:n]
+        stream = [w for w in pts if w.param in keep]
+        monkeypatch.setattr(engine, "witness_stream", lambda *args: (stream, stats))
+        sizes.clear()
+        mapped.clear()
+        one = scan(f, 3, "total-first")
+        four = scan(f, 3, "total-first", jobs=4)
+        (shares,) = mapped
+        _check_shares(shares, groups[:n], 4)
+        assert [len(s) for _, s, _ in shares] == [n // 4] * 3 + [n - 3 * (n // 4)]
+        assert sizes == [4]
+        assert four == one and _json(four.to_json()) == _json(one.to_json())
 
 
 # Y^2 = X^3 + lam^2 X - 1 with section (1/lam^2, 1/lam^3): the fiber at
@@ -450,9 +472,23 @@ def test_scan_with_shared_memos_matches_unshared_reference(monkeypatch, case):
         mapped.clear()
 
 
-def _gram_key(Cm, ipts, tol) -> tuple:
-    """The memo key of the Gram that gram_certify(Cm, ipts, tol) computes:
-    the integral model, the integral points and the tolerance."""
+def test_height_models_are_kept_per_integral_curve():
+    # Every fiber of the twists of x^3 + 1 is y^2 = x^3 + B: the integral
+    # models share A = 0 and differ in B, and each keeps its own model.
+    f, bound, mode = MEMO_CASES["quad-fiber"]
+    pts, _ = witness_stream(f, bound, mode)
+    memo: dict = {}
+    assert [certify_fiber(f, w, memo=memo) for w in pts] == [certify_fiber(f, w) for w in pts]
+    models = {key: m for key, m in memo.items() if len(key) == 2}
+    grams = {key[:2] for key in memo if len(key) > 2 and isinstance(key[2], Decimal)}
+    assert len(models) > 1 and set(models) == grams
+    assert {A for A, _ in models} == {0}
+    assert all(m.curve == curve(A, B) for (A, B), m in models.items())
+
+
+def _gram_key(Cm, ipts, tol, *model) -> tuple:
+    """The memo key of the Gram that gram_certify(Cm, ipts, tol, model)
+    computes: the integral model, the integral points and the tolerance."""
     return Cm, tuple(ipts), tol
 
 
@@ -507,7 +543,7 @@ def test_isomorphic_candidates_share_the_gram_but_keep_their_own_points():
     a, b = (certify_fiber(f, w, memo=memo) for w in ws)
     assert integral_model(ws[0].curve) == (curve(-36, 0), 1)
     assert integral_model(ws[1].curve) == (curve(-36, 0), 2)
-    assert len(memo) == 2  # one torsion answer, one Gram
+    assert len(memo) == 3  # one torsion answer, one Gram, one height model
     assert [a, b] == [certify_fiber(f, w) for w in ws]  # no memo
     assert a.gram.entries == b.gram.entries and a.gram.heights == b.gram.heights
     ja, jb = (json.loads(_json(c.to_json())) for c in (a, b))
@@ -532,7 +568,7 @@ def test_memo_hits_never_skip_the_on_curve_check():
     tol = DEFAULT_SCAN_TOL
     memo: dict = {}
     assert certify_fiber(f, good, tol, memo).status == "certified"
-    assert len(memo) == 2
+    assert len(memo) == 3  # torsion answer, Gram, height model
     for w in offs:
         assert not on_curve(w.curve, w.witness)
         with pytest.raises(PointNotOnCurve):
@@ -544,7 +580,7 @@ def test_memo_hits_never_skip_the_on_curve_check():
         Cm, u = integral_model(w.curve)
         with pytest.raises(PointNotOnCurve):
             engine._gram(memo, Cm, u, [w.witness], engine._gram_tol(tol))
-    assert len(memo) == 2
+    assert len(memo) == 3
 
 
 BENCH = curve(-16, 16)
@@ -563,13 +599,13 @@ def test_gram_memo_keeps_tolerances_and_points_apart(monkeypatch):
     memo: dict = {}
     shared = [engine._gram(memo, BENCH, 1, pts, t) for t in tols]
     assert shared == fresh and fresh[0].entries != fresh[1].entries
-    assert len(computed) == len(memo) == 2
+    assert len(computed) == len(memo) - 1 == 2  # and one height model
     C = curve(Fraction(-16, 2**4), Fraction(16, 2**6))
     Q = point(0, Fraction(4, 8))
     assert integral_model(C) == (BENCH, 2)
     single = engine._gram(memo, BENCH, 1, [BENCH_P], tols[0])
     g = engine._gram(memo, BENCH, 2, [Q], tols[0])
-    assert len(computed) == len(memo) == 3
+    assert len(computed) == len(memo) - 1 == 3  # C's Gram reuses BENCH's model
     assert g.points == (Q,) and single.points == (BENCH_P,)
     assert g == dataclasses.replace(single, points=(Q,)) == gram_certify(C, [Q], tols[0])
 

@@ -27,6 +27,21 @@ def test_factorize_small():
     assert factorize(997**5 * 1009) == {997: 5, 1009: 1}
 
 
+def test_factorize_trusts_only_a_cofactor_that_trial_division_proves_prime():
+    # A cofactor left when p^2 > n, or below 1009^2 after every trial prime,
+    # is prime; p^2 = n is not p^2 > n.
+    assert factorize(4) == {2: 2}
+    assert factorize(49) == {7: 2}
+    assert factorize(2 * 3 * 997**2) == {2: 1, 3: 1, 997: 2}
+    assert factorize(997 * 1009) == {997: 1, 1009: 1}
+    assert factorize(1018057) == {1018057: 1}  # the largest prime below 1009^2
+    assert factorize(1009**2) == {1009: 2}
+    assert factorize(1009 * 1013) == {1009: 1, 1013: 1}
+    for p in (2, 3, 31, 997):
+        for q in (p, 1009):
+            assert factorize(p * q) == ({p: 2} if q == p else {p: 1, q: 1})
+
+
 def test_factorize_large_semiprime():
     p, q = 1000003, 999983
     assert factorize(p * q) == {q: 1, p: 1}

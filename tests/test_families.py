@@ -8,7 +8,7 @@ from oracles import brute_force_twist_fiber_first, brute_force_twist_total_first
 from rankjump import families
 from rankjump.curves import on_curve, point
 from rankjump.errors import DegenerateFiber, FamilyFormatError, PoleAtPoint
-from rankjump.factorization import squarefree_part_of_rational
+from rankjump.factorization import squarefree_part
 from rankjump.families import (
     CubicPencil,
     StreamStats,
@@ -275,13 +275,14 @@ def test_twist_total_first_matches_double_loop(f):
 
 
 def test_twist_fiber_first_is_linear_in_the_rationals(monkeypatch):
+    # one square class per rational x0 and per rational lam
     calls = []
 
-    def counting(q):
-        calls.append(q)
-        return squarefree_part_of_rational(q)
+    def counting(n):
+        calls.append(n)
+        return squarefree_part(n)
 
-    monkeypatch.setattr(families, "squarefree_part_of_rational", counting)
+    monkeypatch.setattr(families, "squarefree_part", counting)
     f = TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1)
     pts, stats = witness_stream(f, 10, "fiber-first")
     n_rats = len(list(iter_rationals(10)))
@@ -291,18 +292,25 @@ def test_twist_fiber_first_is_linear_in_the_rationals(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["fiber-first", "total-first"])
 def test_twist_walks_reuse_what_they_hold(monkeypatch, mode):
+    # evaluations of p or d, by Fractions or by integer forms
     evals, curves = [], []
-    real_eval, real_curve = families.poly_eval, families.Curve
+    real_curve = families.Curve
 
-    def counting_eval(p, x):
-        evals.append(x)
-        return real_eval(p, x)
+    def counting(name):
+        real = getattr(families, name)
+
+        def counted(p, x):
+            evals.append(x)
+            return real(p, x)
+
+        monkeypatch.setattr(families, name, counted)
 
     def counting_curve(A, B):
         curves.append((A, B))
         return real_curve(A, B)
 
-    monkeypatch.setattr(families, "poly_eval", counting_eval)
+    counting("poly_eval")
+    counting("int_form_eval")
     monkeypatch.setattr(families, "Curve", counting_curve)
     f = TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1)
     pts, stats = witness_stream(f, 10, mode)
@@ -312,6 +320,11 @@ def test_twist_walks_reuse_what_they_hold(monkeypatch, mode):
         # p(x0) once per x0, d(lam) once per lam, one fiber per lam
         assert len(evals) <= 2 * n_rats
         assert len(curves) <= n_rats - stats.degenerate_skipped
+        # and none for a lam without witnesses: x^3 + x + 1 has no rational
+        # root, so most lams have none
+        curves.clear()
+        pts, _ = witness_stream(TwistLinear(p=poly([1, 1, 0, 1])), 10, mode)
+        assert len(curves) == len({w.param for w in pts}) < n_rats // 2
     else:
         # p(x0) once per x0; d is never evaluated, as d(t) = p(x0)/y0^2
         assert len(evals) == n_rats

@@ -173,6 +173,32 @@ def test_gram_two_independent_points():
         assert not g.certified
 
 
+def test_gram_given_its_model_skips_only_the_points_torsion_screen(monkeypatch):
+    # With C's model, gram_certify reuses its defect logarithms and takes
+    # the given points as non-torsion; the sum of a pair is still screened.
+    screened = []
+
+    def counted(C, P):
+        screened.append(P)
+        return is_torsion(C, P)
+
+    monkeypatch.setattr(heights, "is_torsion", counted)
+    tol = Decimal("1e-5")
+    C2 = curve(Fraction(-16, 2**4), Fraction(16, 2**6))  # integral model BENCH, u = 2
+    cases = [(C, [P]) for C, P in _random_singletons(7, 8)]
+    cases += [(C2, [point(0, Fraction(1, 2))]), (curve(-7, 10), [point(1, 2), point(2, 2)])]
+    for C, pts in cases:
+        model, _ = heights.model_of(C)
+        screened.clear()
+        given = gram_certify(C, pts, tol, model)
+        assert len(screened) == len(pts) * (len(pts) - 1) // 2
+        assert given == gram_certify(C, pts, tol)
+    with pytest.raises(ValueError, match="is not the integral model of"):
+        gram_certify(BENCH, [BENCH_P], tol, heights.model_of(curve(-36, 0))[0])
+    with pytest.raises(PointNotOnCurve):
+        gram_certify(BENCH, [point(0, 5)], tol, heights.model_of(BENCH)[0])
+
+
 def _random_singletons(seed: int, n: int) -> list:
     """n seeded (curve, non-torsion point) pairs; A has up to 31 digits, so
     bits(S) spans 18 to 509 on seed 7."""

@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rankjump.errors import PoleAtPoint
+from rankjump.factorization import squarefree_part, squarefree_part_of_rational
 from rankjump.polynomials import (
     degree,
     depress_cubic,
     format_poly,
+    int_form,
+    int_form_eval,
     is_squarefree,
     parse_poly,
     poly,
@@ -31,6 +34,28 @@ def test_eval_examples():
     with pytest.raises(PoleAtPoint):
         f.eval(Fraction(0))
     assert f.eval(Fraction(2)) == Fraction(5, 2)
+
+
+_RATS = st.fractions(-50, 50, max_denominator=30)
+
+
+@given(st.lists(_RATS, max_size=5).map(poly), _RATS)
+def test_int_form_eval_is_poly_eval_and_keeps_the_square_class(p, q):
+    F, L = form = int_form(p)
+    assert L > 0 and all(type(c) is int for c in F)
+    assert poly(Fraction(c, L) for c in F) == p
+    N, D = int_form_eval(form, q)
+    assert D > 0 and Fraction(N, D) == poly_eval(p, q)
+    if N != 0:
+        assert squarefree_part(N * D) == squarefree_part_of_rational(poly_eval(p, q))
+
+
+def test_int_form_examples():
+    p = poly([Fraction(1, 2), -1, Fraction(1, 3), 1])  # x^3 + x^2/3 - x + 1/2
+    assert int_form(p) == ((3, -6, 2, 6), 6)
+    # q = -3/5: N = 3*5^3 - 6*(-3)*5^2 + 2*(-3)^2*5 + 6*(-3)^3, D = 6*5^3
+    assert int_form_eval(int_form(p), Fraction(-3, 5)) == (753, 750)
+    assert int_form(()) == ((), 1) and int_form_eval(((), 1), Fraction(3, 4)) == (0, 1)
 
 
 def test_discriminant_examples():
