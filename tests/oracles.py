@@ -6,9 +6,10 @@ enumerations) so tests can cross-check the library's optimized paths
 without sharing code with them.
 
 The reference_* functions are the exception: they are the library's
-earlier loops, which did work that cannot change the output, kept as
-written so tests can show that skipping it changes no byte.  They call
-the library's own building blocks and import them when called.
+earlier loops, which did work that cannot change the output, so tests can
+show that skipping it changes no byte.  They call the library's public
+building blocks (the group law, the torsion screen, gram_certify) and
+import them when called.
 
 Run as a script to print the doubling-limit height oracle for the
 benchmark point (0, 4) on y^2 = x^3 - 16x + 16 at depth 12.
@@ -231,25 +232,29 @@ def reference_gram_certify(C, points, tol):
 
 
 def reference_certify_fiber(f, w, tol):
-    """engine.certify_fiber before its dependent-pair pre-check: a set with
-    P = -Q goes through its Gram, which cannot certify, before the witness
-    singleton is retried.  One fresh memo per call."""
-    from rankjump.curves import integral_model
-    from rankjump.engine import WitnessCertificate, _gram, _gram_tol, _torsion
+    """engine.certify_fiber before its dependent-pair pre-check, its memo
+    and its integral form: a set with P = -Q goes through its Gram, which
+    cannot certify, before the witness singleton is retried.  Every torsion
+    screen and every Gram runs on the fiber w.curve itself, through
+    curves.is_torsion and heights.gram_certify with no model passed, so no
+    integral key, memo or engine helper is shared with the code under
+    test."""
+    from rankjump import heights
+    from rankjump.curves import is_torsion
+    from rankjump.engine import WitnessCertificate
+    from rankjump.intervals import CTX
 
-    gram_tol = _gram_tol(tol)
-    memo = {}
+    gram_tol = CTX.divide(heights.tolerance(tol), 10)
     declared = f.declared_generic_rank
     C = w.curve
     sections = f.sections_at(w.param, C)
-    Cm, u = integral_model(C)
-    live_sections = [P for P in sections if not _torsion(memo, Cm, u, P)]
-    torsion = _torsion(memo, Cm, u, w.witness)
+    live_sections = [P for P in sections if not is_torsion(C, P)]
+    torsion = is_torsion(C, w.witness)
     pts = list(dict.fromkeys(live_sections + ([] if torsion else [w.witness])))
-    gram = _gram(memo, Cm, u, pts, gram_tol) if pts else None
+    gram = heights.gram_certify(C, pts, gram_tol) if pts else None
     if not torsion and not gram.certified and len(pts) > 1:
         pts = [w.witness]
-        gram = _gram(memo, Cm, u, pts, gram_tol)
+        gram = heights.gram_certify(C, pts, gram_tol)
     lb = len(pts) if gram is not None and gram.certified else 0
     if torsion:
         status = "torsion-witness"
@@ -271,8 +276,9 @@ def reference_certify_fiber(f, w, tol):
 
 def reference_scan(f, bound, mode, tol):
     """engine.scan's serial tally before per-param routing: every candidate
-    runs certify_fiber, and the results are tallied in stream order."""
-    from rankjump.engine import ScanReport, certify_fiber
+    runs reference_certify_fiber, and the results are tallied in stream
+    order."""
+    from rankjump.engine import ScanReport
     from rankjump.errors import PoleAtPoint
     from rankjump.families import witness_stream
     from rankjump.heights import tolerance
@@ -285,7 +291,7 @@ def reference_scan(f, bound, mode, tol):
     torsion_count = degenerate_cert = 0
     for w in points:
         try:
-            cert = certify_fiber(f, w, tol_d)
+            cert = reference_certify_fiber(f, w, tol_d)
         except PoleAtPoint:
             degenerate_cert += 1
             continue

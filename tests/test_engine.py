@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from oracles import reference_certify_fiber, reference_scan
-from rankjump import engine
+from rankjump import engine, heights
 from rankjump.cli import _json
 from rankjump.curves import (
     curve,
@@ -209,10 +209,10 @@ def test_dependent_pair_goes_straight_to_the_witness(monkeypatch):
     pts, _ = witness_stream(PENCIL, 4, "fiber-first")
     minus_s = [w for w in pts if w.witness == neg(PENCIL.sections_at(w.param, w.curve)[0])]
     assert (len(minus_s), len(pts)) == (12, 28)
-    computed = _counting(monkeypatch, "gram_certify")
+    fiber_grams = _counting(monkeypatch, "gram_certify", heights)
     refs = [reference_certify_fiber(PENCIL, w, DEFAULT_SCAN_TOL) for w in pts]
-    assert any(_has_negatives(ipts) for _, ipts, *_ in computed)
-    computed.clear()
+    assert any(_has_negatives(pts) for _, pts, *_ in fiber_grams)
+    computed = _counting(monkeypatch, "gram_certify")
     assert [certify_fiber(PENCIL, w) for w in pts] == refs
     assert computed and not any(_has_negatives(ipts) for _, ipts, *_ in computed)
     rows = [c for c, w in zip(refs, pts) if w in minus_s and c.status != "torsion-witness"]
@@ -387,18 +387,17 @@ ROUTING_CASES = {
 }
 
 
-def _counting(monkeypatch, name: str) -> list:
-    """Wrap rankjump.engine.<name>; returns the list its calls append to."""
-    import rankjump.engine
-
+def _counting(monkeypatch, name: str, module=engine) -> list:
+    """Wrap module.<name>, rankjump.engine.<name> by default; returns the
+    list its calls append to."""
     calls = []
-    fn = getattr(rankjump.engine, name)
+    fn = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(rankjump.engine, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
