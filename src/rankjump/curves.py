@@ -192,6 +192,22 @@ def point_to_integral(P: Point, u: int) -> Point:
     return Point(P.x * u * u, P.y * u**3)
 
 
+def point_ints(P: Point) -> tuple[int, int, int, int]:
+    """P as four ints (x numerator, x denominator, y numerator, y
+    denominator), the form memo keys and total-space points take;
+    (0, 0, 0, 0) is the point at infinity (no affine coordinate has
+    denominator 0)."""
+    if P.is_infinity:
+        return 0, 0, 0, 0
+    return P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator
+
+
+def point_from_ints(P: tuple[int, int, int, int]) -> Point:
+    """The point whose point_ints are P."""
+    xn, xd, yn, yd = P
+    return INFINITY if xd == 0 else Point(Fraction(xn, xd), Fraction(yn, yd))
+
+
 def is_torsion(C: Curve, P: Point) -> bool:
     """n P = O for some 1 <= n <= 12, decided by `torsion_order`."""
     return torsion_order(C, P) is not None

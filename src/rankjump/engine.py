@@ -23,10 +23,12 @@ from typing import Optional
 from .curves import (
     Curve,
     Point,
-    integral_model,
+    curve,
     is_torsion,
     neg,
     on_curve,
+    point_from_ints,
+    point_ints,
     point_to_integral,
     small_relation_search,
 )
@@ -116,49 +118,36 @@ def _gram_tol(tol) -> Decimal:
     return CTX.divide(tolerance(tol), Decimal(10))
 
 
-def _ints(P: Point) -> tuple[int, int, int, int]:
-    """P as four ints, the form memo keys take; (0, 0, 0, 0) is the point
-    at infinity (no affine coordinate has denominator 0)."""
-    if P.is_infinity:
-        return 0, 0, 0, 0
-    return P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator
-
-
-def _torsion(memo: dict, Cm: Curve, u: int, P: Point) -> bool:
-    """Whether P, on the curve with integral model Cm and scale u, is
-    torsion: is_torsion on Cm, once per memo key (A, B, four ints of the
-    integral point)."""
-    Pm = point_to_integral(P, u)
-    key = (Cm.A.numerator, Cm.B.numerator, *_ints(Pm))
+def _torsion(memo: dict, A: int, B: int, P: tuple[int, int, int, int]) -> bool:
+    """Whether the point P (point_ints) on the integral model
+    y^2 = x^3 + Ax + B is torsion: is_torsion there, once per memo key
+    (A, B, *P)."""
+    key = (A, B, *P)
     known = memo.get(key)
     if known is None:
-        known = memo[key] = is_torsion(Cm, Pm)
+        known = memo[key] = is_torsion(curve(A, B), point_from_ints(P))
     return known
 
 
-def _gram(memo: dict, Cm: Curve, u: int, pts: list[Point], tol: Decimal) -> GramCertificate:
-    """gram_certify for non-torsion pts on the curve with integral model Cm
-    and scale u, once per memo key (A, B, tol, four ints per integral
-    point), given Cm's height model, which the memo keeps once per key
-    (A, B); the certificate carries pts themselves."""
-    ipts = [point_to_integral(P, u) for P in pts]
-    A, B = Cm.A.numerator, Cm.B.numerator
-    key = (A, B, tol, *(n for P in ipts for n in _ints(P)))
+def _gram(memo: dict, A: int, B: int, pts: dict, tol: Decimal) -> GramCertificate:
+    """gram_certify for non-torsion points on the integral model
+    y^2 = x^3 + Ax + B, once per memo key (A, B, tol, *point_ints of each),
+    with the model's height constants, which the memo keeps once per key
+    (A, B).  pts maps each point's point_ints on the model to the point on
+    the fiber, which the certificate carries."""
+    key = (A, B, tol, *(n for P in pts for n in P))
     cert = memo.get(key)
     if cert is None:
+        Cm = curve(A, B)
         model = memo.get((A, B))
         if model is None:
             model = memo[(A, B)] = model_of(Cm)[0]
-        cert = memo[key] = gram_certify(Cm, ipts, tol, model)
-    return replace(cert, points=tuple(pts))
+        cert = memo[key] = gram_certify(Cm, [point_from_ints(P) for P in pts], tol, model)
+    return replace(cert, points=tuple(pts.values()))
 
 
 def certify_fiber(
-    f: Family,
-    w: TotalSpacePoint,
-    tol=DEFAULT_SCAN_TOL,
-    memo: Optional[dict] = None,
-    integral: Optional[tuple[Curve, int]] = None,
+    f: Family, w: TotalSpacePoint, tol=DEFAULT_SCAN_TOL, memo: Optional[dict] = None
 ) -> WitnessCertificate:
     """Assemble and certify the point set {specialized sections} + {witness}
     on the candidate's fiber w.curve.
@@ -171,41 +160,44 @@ def certify_fiber(
     the first positive determinant, so most independent sets resolve well
     above that depth.
 
-    The points are mapped once to the fiber's integral model Cm, where the
-    torsion screens and the Gram steps run; integral, when given, is
-    integral_model(w.curve), which a caller with several candidates on one
-    fiber computes once.  Candidates certified with one memo dict compute
-    each torsion status and each Gram outcome once per integral model and
-    integral points, and each model's height constants once per (A, B):
-    (x, y) -> (u^2 x, u^3 y) preserves torsion, canonical heights and the
-    group law, so a shared answer is the one this fiber would compute.  A
-    Gram gets only points screened non-torsion here, so it skips their
-    torsion screen (see gram_certify).  The certificate keeps its own curve,
-    sections and witness.
+    The torsion screens and the Gram steps run on the fiber's integral
+    model, which w carries with its scale u and the witness on it as ints
+    (TotalSpacePoint); only the sections are mapped there, by
+    (x, y) -> (u^2 x, u^3 y).  Candidates certified with one memo dict
+    compute each torsion status and each Gram outcome once per integral
+    model and integral points, and each model's height constants once per
+    (A, B): the map preserves torsion, canonical heights and the group law,
+    so a shared answer is the one this fiber would compute.  A curve or
+    point on the model is built only on a miss.  A Gram gets only points
+    screened non-torsion here, so it skips their torsion screen (see
+    gram_certify).  The certificate keeps the fiber's curve, sections and
+    witness, read off w.
 
-    No point is checked on the fiber here.  A miss checks it on Cm
+    No point is checked on the fiber here.  A miss checks it on the model
     (torsion_order and gram_certify require their points on the curve), and
     a hit means an earlier call checked this very integral point on this
-    very Cm.  The map is a bijection from the fiber onto Cm, so either way
-    a point off the fiber raises PointNotOnCurve.
+    very model.  The map is a bijection from the fiber onto the model, so
+    either way a point off the fiber raises PointNotOnCurve.
     """
     gram_tol = _gram_tol(tol)
     memo = {} if memo is None else memo
     declared = f.declared_generic_rank
-    C = w.curve
+    C, W, A, B = w.curve, w.witness, w.A, w.B
     sections = f.sections_at(w.param, C)
-    Cm, u = integral_model(C) if integral is None else integral
-    live_sections = [P for P in sections if not _torsion(memo, Cm, u, P)]
-    torsion = _torsion(memo, Cm, u, w.witness)
-    # Sections may meet at this parameter; a bound from distinct points is sound.
-    pts = list(dict.fromkeys(live_sections + ([] if torsion else [w.witness])))
+    live = [(point_ints(point_to_integral(P, w.u)), P) for P in sections]
+    live = [(Pi, P) for Pi, P in live if not _torsion(memo, A, B, Pi)]
+    torsion = _torsion(memo, A, B, w.model_witness)
+    # The points to certify, keyed by their point_ints on the model.  Sections
+    # may meet at this parameter; a bound from distinct points is sound.
+    keyed = dict(live + ([] if torsion else [(w.model_witness, W)]))
+    pts = list(keyed.values())
     if not torsion and any(neg(P) in pts[i + 1 :] for i, P in enumerate(pts)):
-        pts = [w.witness]
-    gram = _gram(memo, Cm, u, pts, gram_tol) if pts else None
-    if not torsion and not gram.certified and len(pts) > 1:
-        pts = [w.witness]
-        gram = _gram(memo, Cm, u, pts, gram_tol)
-    lb = len(pts) if gram is not None and gram.certified else 0
+        keyed = {w.model_witness: W}
+    gram = _gram(memo, A, B, keyed, gram_tol) if keyed else None
+    if not torsion and not gram.certified and len(keyed) > 1:
+        keyed = {w.model_witness: W}
+        gram = _gram(memo, A, B, keyed, gram_tol)
+    lb = len(keyed) if gram is not None and gram.certified else 0
     if torsion:
         status = "torsion-witness"
     else:
@@ -215,7 +207,7 @@ def certify_fiber(
         param=w.param,
         curve=C,
         section_points=tuple(sections),
-        witness=w.witness,
+        witness=W,
         gram=gram,
         certified_rank_lb=lb,
         declared_generic_rank=declared,
@@ -265,22 +257,17 @@ def _certify_param(
 
     certify_fiber runs until a candidate certifies; the report never keeps
     a later candidate's certificate, so after that only its torsion status
-    counts.  No pole can follow: the sections depend only on the param.
-    The candidates share their fiber, which is mapped to its integral model
-    once (again only if a candidate brings a different curve).
+    counts, read from its integral form with no fiber built.  No pole can
+    follow: the sections depend only on the param.
     """
     kept: Optional[WitnessCertificate] = None
     torsion = poles = 0
-    C = integral = None
     for w in ws:
-        if w.curve != C:
-            C = w.curve
-            integral = integral_model(C)
         if kept is not None and kept.status == "certified":
-            torsion += _torsion(memo, *integral, w.witness)
+            torsion += _torsion(memo, w.A, w.B, w.model_witness)
             continue
         try:
-            cert = certify_fiber(f, w, tol, memo, integral)
+            cert = certify_fiber(f, w, tol, memo)
         except PoleAtPoint:
             poles += 1
             continue
@@ -315,11 +302,13 @@ def scan(
     sizes differ by at most 1, so one share (and no pool) when jobs = 1;
     each share is one pool.map item, and the pool starts one worker per
     share up to the CPU count.  The shares depend on jobs alone, not on the
-    machine.  A share's candidates use one memo (see certify_fiber), so
-    isomorphic fibers are certified once per share.  A memo only saves work
-    and never changes an answer, and the tally depends only on the order
-    within a param, so sequential and parallel runs produce identical
-    reports.
+    machine.  The walk hands each candidate over in integral form
+    (TotalSpacePoint), so no fiber is mapped to its model here, and the
+    workers receive ints and params.  A share's candidates use one memo
+    (see certify_fiber), keyed by those ints, so isomorphic fibers are
+    certified once per share.  A memo only saves work and never changes an
+    answer, and the tally depends only on the order within a param, so
+    sequential and parallel runs produce identical reports.
     """
     require_valid(f)
     if jobs < 1:
@@ -519,7 +508,8 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
 
     Each hit p(x0) = d * s^2 (d squarefree, d not in {0, 1}) is the
     point (x0, s) on the fiber t = d of twist_linear t y^2 = p(x), mapped
-    into Y^2 = X^3 + A d^2 X + B d^3 by the family's `point`.
+    by the family's `point` to the integral form of its point on
+    Y^2 = X^3 + A d^2 X + B d^3, which w.witness and w.curve read back.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -541,7 +531,7 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
         d = Fraction(cls)
         s = is_rational_square(val / d)
         _require(s is not None, f"p({n}) / {cls} is not a square")
-        w = f.point(f.fiber(d), d, d, x0, s, val)
+        w = f.point(d, d, f.fiber_model(d), x0, s, val)
         if is_torsion(w.curve, w.witness):
             continue
         if not square_class_independent(classes + [cls]):

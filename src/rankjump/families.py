@@ -15,18 +15,21 @@ packet of the zero section and is rejected.
 Each family kind is one frozen dataclass that answers every fact about
 itself: identifier, declared generic rank, sections, validation findings,
 fiber at a parameter, witness walks, the map `point` from a walk's point
-into its fiber, and sign regions.  Its JSON fields are its dataclass
-fields.  What depends on the family alone (its identifier, a twist's
-depressed cubic, d(t) and the integer forms of p and d) is computed once
-per family object and cached on it; the cache is not a field, so equality, hashing and the JSON form
-ignore it.  Module-level code is what no single kind owns: the JSON codec,
+into its fiber's integral form, and sign regions.  Its JSON fields are
+its dataclass fields.  What depends on the family alone (its identifier,
+a twist's depressed cubic and its integral model, d(t) and the integer
+forms of p and d) is computed once per family object and cached on it;
+the cache is not a field, so equality, hashing and the JSON form ignore
+it.  Module-level code is what no single kind owns: the JSON codec,
 the `witness_stream` driver, and the public entry points `validate_family`,
 `require_valid` (the admission rule that `scan`, `neron_check` and
 `billing_build` apply before any work) and `fiber_at`.
 
-A candidate carries its fiber: the walk that finds a witness keeps the
-curve it built at that parameter, and certification runs on that curve
-instead of building the fiber again.
+A candidate is emitted in integral form (`TotalSpacePoint`): the walk that
+finds a witness hands over the fiber's integral model, its scale and the
+witness on the model as ints, which is where certification runs.  The
+twist walks build that form from integers alone; the other kinds map
+each fiber once with `integral_model`.
 """
 
 from __future__ import annotations
@@ -37,14 +40,22 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterator, Optional
 
-from .curves import Curve, Point, on_curve
+from .curves import (
+    Curve,
+    Point,
+    integral_model,
+    on_curve,
+    point_from_ints,
+    point_ints,
+    point_to_integral,
+)
 from .errors import (
     DegenerateFiber,
     FamilyFormatError,
     PoleAtPoint,
     SingularCurve,
 )
-from .factorization import squarefree_part
+from .factorization import factorize, squarefree_part
 from .polynomials import (
     IntForm,
     Poly,
@@ -74,12 +85,35 @@ from .rationals import (
 
 @dataclass(frozen=True)
 class TotalSpacePoint:
-    """A rational point of the total space seen inside its fiber: the
-    standardized curve at param and the witness on it."""
+    """A rational point of the total space in integral form: its param, the
+    integral model y^2 = x^3 + Ax + B (A, B ints) of the standardized fiber
+    there and its scale u, both as integral_model gives them, and the
+    witness on the model as `point_ints`.  The fiber `curve` and the
+    `witness` on it, which a report row shows, are read back from these
+    ints: (A/u^4, B/u^6) and (x/u^2, y/u^3)."""
 
     param: Fraction
-    curve: Curve
-    witness: Point
+    A: int
+    B: int
+    u: int
+    model_witness: tuple[int, int, int, int]
+
+    @classmethod
+    def on_model(cls, param: Fraction, Cm: Curve, u: int, P: Point) -> "TotalSpacePoint":
+        """P on the fiber at param, given the fiber's integral model Cm and
+        scale u (integral_model)."""
+        return cls(param, Cm.A.numerator, Cm.B.numerator, u, point_ints(point_to_integral(P, u)))
+
+    @property
+    def curve(self) -> Curve:
+        u = self.u
+        return Curve(Fraction(self.A, u**4), Fraction(self.B, u**6))
+
+    @property
+    def witness(self) -> Point:
+        xn, xd, yn, yd = self.model_witness
+        u = self.u
+        return point_from_ints((xn, xd * u * u, yn, yd * u**3))
 
 
 @dataclass(frozen=True)
@@ -169,12 +203,22 @@ class Family:
             except DegenerateFiber:
                 stats.degenerate_skipped += 1
                 continue
+            Cm, u = integral_model(C)
             A, B = C.A, C.B
             for X0 in rats:
                 stats.enumerated += 1
                 Y0 = is_rational_square(X0**3 + A * X0 + B)
                 if Y0 is not None:
-                    yield TotalSpacePoint(param=lam, curve=C, witness=Point(X0, Y0))
+                    yield TotalSpacePoint.on_model(lam, Cm, u, Point(X0, Y0))
+
+
+def _valuation(n: int, p: int) -> int:
+    """The exponent of the prime p in n != 0."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
 
 
 class _Twist(Family):
@@ -190,10 +234,16 @@ class _Twist(Family):
         """The integer forms (int_form) of p and d, which the walks evaluate."""
         return int_form(self.p), int_form(self.d)
 
-    def fiber(self, lam: Fraction) -> Curve:
-        return self._fiber(lam, poly_eval(self.d, lam))
+    @cached_property
+    def cubic_model(self) -> tuple[int, int, int, tuple[int, ...]]:
+        """(A0, B0, u0, the primes of u0): the depressed cubic's integral model
+        and its scale (integral_model)."""
+        A, B, _ = self.depressed
+        Cm, u0 = integral_model(Curve(A, B))
+        return Cm.A.numerator, Cm.B.numerator, u0, tuple(factorize(u0))
 
-    def _fiber(self, lam: Fraction, d0: Fraction) -> Curve:
+    def fiber(self, lam: Fraction) -> Curve:
+        d0 = poly_eval(self.d, lam)
         if d0 == 0:
             raise DegenerateFiber(f"d({format_rational(lam)}) = 0")
         A, B, _ = self.depressed
@@ -202,16 +252,45 @@ class _Twist(Family):
         except SingularCurve as exc:
             raise DegenerateFiber(str(exc)) from exc
 
+    def fiber_model(self, d0: Fraction) -> tuple[int, int, int]:
+        """(A, B, u): the integral model of the fiber where d(t) = d0 = a/b
+        and its scale, as integral_model gives them, from ints.  The fiber
+        is y^2 = x^3 + A0 a^2/(u0^4 b^2) x + B0 a^3/(u0^6 b^3), so only
+        primes of u0 b divide its denominators, and u takes each such p to
+        the least power whose 4th and 6th powers clear them."""
+        if d0 == 0:
+            raise DegenerateFiber("d(t) = 0")
+        A0, B0, u0, u0_primes = self.cubic_model
+        a, b = d0.numerator, d0.denominator
+        nA, dA = A0 * a * a, u0**4 * b * b
+        nB, dB = B0 * a**3, u0**6 * b**3
+        g, h = gcd(nA, dA), gcd(nB, dB)
+        nA, dA, nB, dB = nA // g, dA // g, nB // h, dB // h
+        u = 1
+        for p in {*u0_primes, *factorize(b)}:
+            u *= p ** max(-(-_valuation(dA, p) // 4), -(-_valuation(dB, p) // 6))
+        return nA * u**4 // dA, nB * u**6 // dB, u
+
     def point(
-        self, C: Curve, lam: Fraction, d0: Fraction, x0: Fraction, y0: Fraction, v: Fraction
+        self, lam: Fraction, d0: Fraction, model: tuple, x0: Fraction, y0: Fraction, v: Fraction
     ) -> TotalSpacePoint:
-        """(x0, y0) at lam read in its fiber C, given d0 = d(lam) and v = p(x0):
-        X = d0 (x0 + s), Y = d0^2 y0.  Raises ValueError unless d0 y0^2 = v."""
-        if d0 * y0 * y0 != v:
+        """(x0, y0) at lam in integral form, given d0 = d(lam), the fiber's
+        model = fiber_model(d0) and v = p(x0).  On the fiber the point is
+        X = d0 (x0 + s), Y = d0^2 y0, and on the model (u^2 X, u^3 Y).
+        Raises ValueError unless d0 y0^2 = v, an identity of ints."""
+        a, b = d0.numerator, d0.denominator
+        yn, yd = y0.numerator, y0.denominator
+        if a * yn * yn * v.denominator != v.numerator * b * yd * yd:
             raise ValueError(
                 f"d({format_rational(lam)})*y0^2 != p(x0) at ({format_rational(x0)}, {format_rational(y0)})"
             )
-        return TotalSpacePoint(lam, C, Point(d0 * (x0 + self.depressed[2]), d0 * d0 * y0))
+        A, B, u = model
+        s = self.depressed[2]
+        xn, xd = x0.numerator, x0.denominator
+        X, Xd = u * u * a * (xn * s.denominator + s.numerator * xd), b * xd * s.denominator
+        Y, Yd = u**3 * a * a * yn, b * b * yd
+        g, h = gcd(X, Xd), gcd(Y, Yd)
+        return TotalSpacePoint(lam, A, B, u, (X // g, Xd // g, Y // h, Yd // h))
 
     def findings(self) -> list[Finding]:
         out: list[Finding] = []
@@ -243,7 +322,7 @@ class _Twist(Family):
 
         p and d are evaluated as integer forms: a value N / D has the class
         of N D, and a Fraction is built only for each value kept.  A lam
-        with no witness gets no fiber.
+        with no witness gets no fiber model.
         """
         rats = list(iter_rationals(bound))
         pf, df = self.forms
@@ -267,17 +346,18 @@ class _Twist(Family):
             if not xs:
                 continue
             d0 = Fraction(N, D)
-            C = self._fiber(lam, d0)
+            model = self.fiber_model(d0)
             for _, x0, v in xs:
                 stats.enumerated += 1
-                yield self.point(C, lam, d0, x0, is_rational_square(v / d0), v)
+                yield self.point(lam, d0, model, x0, is_rational_square(v / d0), v)
 
     def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
         """Rationals x0 and y0 > 0 with p(x0) != 0, read in the fiber at each
         rational t the kind's `_params` solves from d(t) = d0 = p(x0)/y0^2.
         A param and x0 fix y0^2, so walking y0 > 0 emits each point once.
         p(x0) = N / D is evaluated as p's integer form, and d0 is built
-        straight from N, D and y0."""
+        straight from N, D and y0.  A d0 with params gets one fiber model,
+        which its params share."""
         rats = list(iter_rationals(bound))
         ys = [(y0, y0.numerator**2, y0.denominator**2) for y0 in rats if y0 > 0]
         pf = self.forms[0]
@@ -290,8 +370,12 @@ class _Twist(Family):
                     stats.degenerate_skipped += 1
                     continue
                 d0 = Fraction(N * d2, D * n2)
-                for t in self._params(d0):
-                    yield self.point(self._fiber(t, d0), t, d0, x0, y0, v)
+                ts = self._params(d0)
+                if not ts:
+                    continue
+                model = self.fiber_model(d0)
+                for t in ts:
+                    yield self.point(t, d0, model, x0, y0, v)
 
 
 @dataclass(frozen=True)
@@ -417,7 +501,8 @@ class CubicPencil(Family):
             raise ValueError(
                 f"x^3 + y^3 != -(lam^3+1) at ({format_rational(x)}, {format_rational(y)})"
             )
-        return TotalSpacePoint(lam, C, Point(12 * c / (x + y), 36 * c * (x - y) / (x + y)))
+        P = Point(12 * c / (x + y), 36 * c * (x - y) / (x + y))
+        return TotalSpacePoint.on_model(lam, *integral_model(C), P)
 
     def total_first(self, bound: int, stats: StreamStats) -> Iterator[TotalSpacePoint]:
         for a, b in _euler_pairs(bound):
@@ -542,7 +627,8 @@ def witness_stream(
     to fibers; fiber-first walks (param, x) pairs and solves for y.  Kinds
     without a total-space parametrization (TwistPoly, WeierstrassPencil)
     fall back to fiber-first.  No walk emits a (param, witness.x) twice;
-    the tests check this for each kind.
+    the tests check this for each kind.  Each point comes in integral form
+    (TotalSpacePoint), the form certification reads.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")

@@ -83,6 +83,18 @@ MUTANTS = (
         "model = memo.get((A,))\n        if model is None:\n            model = memo[(A,)] =",
         ["tests/test_engine.py::test_height_models_are_kept_per_integral_curve"],
     ),
+    (
+        "families.py",
+        "for p in {*u0_primes, *factorize(b)}:",
+        "for p in {*factorize(b)}:",
+        ["tests/test_families.py::test_twist_walks_emit_each_fibers_integral_model"],
+    ),
+    (
+        "families.py",
+        "-(-_valuation(dA, p) // 4)",
+        "_valuation(dA, p) // 4",
+        ["tests/test_families.py::test_twist_walks_emit_each_fibers_integral_model"],
+    ),
 )
 
 

@@ -515,7 +515,7 @@ def test_criterion_7_negative_controls():
     torsion_cases = 0
     for t0_param in (2, 3, 5, 7, 10, -2, -3, -5, -7, -10):
         t = Fraction(t0_param)
-        w = f.point(f.fiber(t), t, t, Fraction(1), Fraction(0), Fraction(0))  # p(1) = 0
+        w = f.point(t, t, f.fiber_model(t), Fraction(1), Fraction(0), Fraction(0))  # p(1) = 0
         cert = certify_fiber(f, w)
         assert cert.status == "torsion-witness" and not cert.jump
         torsion_cases += 1

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from oracles import reference_certify_fiber, reference_scan
-from rankjump import engine, heights
+from rankjump import engine, families, heights
 from rankjump.cli import _json
 from rankjump.curves import (
     curve,
@@ -20,6 +20,8 @@ from rankjump.curves import (
     neg,
     on_curve,
     point,
+    point_from_ints,
+    point_ints,
     point_to_integral,
 )
 from rankjump.engine import (
@@ -63,7 +65,7 @@ def _tol_calls():
     C, P, Q = curve(-36, 0), point(-3, 9), point(12, 36)
     f = TwistLinear(p=X3_MINUS_X)
     t = Fraction(6)  # p(2) = 6 = d(6) * 1^2
-    w = f.point(f.fiber(t), t, t, Fraction(2), Fraction(1), Fraction(6))
+    w = f.point(t, t, f.fiber_model(t), Fraction(2), Fraction(1), Fraction(6))
     return [
         lambda t: scan(CubicPencil(), 1, "fiber-first", tol=t),  # empty stream
         lambda t: scan(f, 8, tol=t),
@@ -137,7 +139,7 @@ def test_report_text_ignores_context_capitals():
 def test_certify_fiber_twist_linear():
     f = TwistLinear(p=X3_MINUS_X)
     t = Fraction(6)  # p(2) = 6 = d(6) * 1^2
-    w = f.point(f.fiber(t), t, t, Fraction(2), Fraction(1), Fraction(6))
+    w = f.point(t, t, f.fiber_model(t), Fraction(2), Fraction(1), Fraction(6))
     cert = certify_fiber(f, w)
     assert cert.certified_rank_lb == 1
     assert cert.jump and cert.status == "certified"
@@ -157,7 +159,7 @@ def test_certify_fiber_torsion_witness():
     f = TwistLinear(p=X3_MINUS_X)
     # p(1) = 0, so (t0=anything, x0=1, y0=0) is a 2-torsion witness
     t = Fraction(5)
-    w = f.point(f.fiber(t), t, t, Fraction(1), Fraction(0), Fraction(0))
+    w = f.point(t, t, f.fiber_model(t), Fraction(1), Fraction(0), Fraction(0))
     cert = certify_fiber(f, w)
     assert cert.status == "torsion-witness"
     assert not cert.jump
@@ -177,7 +179,7 @@ def test_certify_fiber_with_sections():
 
 def test_certify_fiber_rejects_off_fiber_witness():
     # The fiber at lam = 2 is y^2 = x^3 + x - 6; (1, 1) is not on it.
-    w = TotalSpacePoint(param=Fraction(2), curve=fiber_at(PENCIL, 2), witness=point(1, 1))
+    w = TotalSpacePoint.on_model(Fraction(2), *integral_model(fiber_at(PENCIL, 2)), point(1, 1))
     with pytest.raises(PointNotOnCurve):
         certify_fiber(PENCIL, w)
 
@@ -188,7 +190,7 @@ def test_no_false_jump_on_dependent_witness():
     C = fiber_at(PENCIL, lam)
     section = point(2, 2)
     wpt = mul(C, 2, section)
-    w = TotalSpacePoint(param=lam, curve=C, witness=wpt)
+    w = TotalSpacePoint.on_model(lam, *integral_model(C), wpt)
     cert = certify_fiber(PENCIL, w)
     assert cert.certified_rank_lb <= 1
     from rankjump.curves import small_relation_search
@@ -223,7 +225,8 @@ def test_jump_needs_a_bound_above_the_generic_rank():
     # At lam = 2, W = -S = (2, -2) certifies alone: rank >= 1, which is
     # PENCIL's declared generic rank, so the row is no jump.
     C = fiber_at(PENCIL, 2)
-    cert = certify_fiber(PENCIL, TotalSpacePoint(param=Fraction(2), curve=C, witness=point(2, -2)))
+    w = TotalSpacePoint.on_model(Fraction(2), *integral_model(C), point(2, -2))
+    cert = certify_fiber(PENCIL, w)
     assert cert.status == "certified" and cert.gram.points == (point(2, -2),)
     assert cert.certified_rank_lb == cert.declared_generic_rank == 1
     assert not cert.jump
@@ -242,7 +245,7 @@ def test_torsion_witness_keeps_its_section_gram(sections):
     f = WeierstrassPencil(A=ratfunc([-1, 0, 1]), B=ratfunc([0]), sections=sections)
     lam = Fraction(2)
     C = fiber_at(f, lam)
-    w = TotalSpacePoint(param=lam, curve=C, witness=point(0, 0))
+    w = TotalSpacePoint.on_model(lam, *integral_model(C), point(0, 0))
     cert = certify_fiber(f, w)
     assert cert == reference_certify_fiber(f, w, DEFAULT_SCAN_TOL)
     assert cert.status == "torsion-witness" and not cert.jump
@@ -515,13 +518,28 @@ def test_scan_computes_each_gram_key_once(monkeypatch):
         a0 = c0 = 0
         for a1, c1 in ends:
             want = {
-                _gram_key(Cm, [point_to_integral(P, u) for P in pts], tol)
-                for _, Cm, u, pts, tol in attempts[a0:a1]
+                _gram_key(curve(A, B), [point_from_ints(P) for P in pts], tol)
+                for _, A, B, pts, tol in attempts[a0:a1]
             }
             keys = [_gram_key(*args) for args in computed[c0:c1]]
             assert len(keys) == len(set(keys)) == len(want) and set(keys) == want
             a0, c0 = a1, c1
         assert len(computed) * 2 < len(attempts)
+
+
+def test_twist_scans_map_no_candidate_to_its_integral_model(monkeypatch):
+    # The twist walks hand each candidate over in integral form: the engine
+    # maps no point to a model (only sections would need it), and the walks
+    # take one integral model per family, the depressed cubic's.
+    mapped = _counting(monkeypatch, "point_to_integral")
+    models = _counting(monkeypatch, "integral_model", families)
+    for f, bound, mode in (
+        (TwistLinear(p=poly([0, -2, 1, 1])), 6, "total-first"),
+        (TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1), 12, "fiber-first"),
+    ):
+        models.clear()
+        assert scan(f, bound, mode).certified > 0
+        assert not mapped and len(models) == 1
 
 
 def _isomorphic_candidates() -> list:
@@ -530,7 +548,7 @@ def _isomorphic_candidates() -> list:
     # map to (12, 36) on it.
     f = TwistLinear(p=X3_MINUS_X)
     return [
-        f.point(f.fiber(t), t, t, Fraction(2), Fraction(y0), Fraction(6))
+        f.point(t, t, f.fiber_model(t), Fraction(2), Fraction(y0), Fraction(6))
         for t, y0 in ((Fraction(6), 1), (Fraction(3, 2), 2))
     ]
 
@@ -561,7 +579,7 @@ def test_memo_hits_never_skip_the_on_curve_check():
     f = TwistLinear(p=X3_MINUS_X)
     good, iso = _isomorphic_candidates()
     offs = [
-        TotalSpacePoint(param=iso.param, curve=iso.curve, witness=P)
+        TotalSpacePoint.on_model(iso.param, *integral_model(iso.curve), P)
         for P in (point(3, 5), point(4, Fraction(9, 2)))
     ]
     tol = DEFAULT_SCAN_TOL
@@ -576,9 +594,8 @@ def test_memo_hits_never_skip_the_on_curve_check():
         with pytest.raises(PointNotOnCurve):
             engine._certify_param(f, [iso, w], tol, memo)
         # and the Gram step, whose key holds the integral points too
-        Cm, u = integral_model(w.curve)
         with pytest.raises(PointNotOnCurve):
-            engine._gram(memo, Cm, u, [w.witness], engine._gram_tol(tol))
+            engine._gram(memo, w.A, w.B, {w.model_witness: w.witness}, engine._gram_tol(tol))
     assert len(memo) == 3
 
 
@@ -596,14 +613,15 @@ def test_gram_memo_keeps_tolerances_and_points_apart(monkeypatch):
     tols = [Decimal("1e-3"), Decimal("1e-5")]
     fresh = [gram_certify(BENCH, pts, t) for t in tols]
     memo: dict = {}
-    shared = [engine._gram(memo, BENCH, 1, pts, t) for t in tols]
+    keyed = {point_ints(P): P for P in pts}
+    shared = [engine._gram(memo, -16, 16, keyed, t) for t in tols]
     assert shared == fresh and fresh[0].entries != fresh[1].entries
     assert len(computed) == len(memo) - 1 == 2  # and one height model
     C = curve(Fraction(-16, 2**4), Fraction(16, 2**6))
     Q = point(0, Fraction(4, 8))
     assert integral_model(C) == (BENCH, 2)
-    single = engine._gram(memo, BENCH, 1, [BENCH_P], tols[0])
-    g = engine._gram(memo, BENCH, 2, [Q], tols[0])
+    single = engine._gram(memo, -16, 16, {point_ints(BENCH_P): BENCH_P}, tols[0])
+    g = engine._gram(memo, -16, 16, {point_ints(point_to_integral(Q, 2)): Q}, tols[0])
     assert len(computed) == len(memo) - 1 == 3  # C's Gram reuses BENCH's model
     assert g.points == (Q,) and single.points == (BENCH_P,)
     assert g == dataclasses.replace(single, points=(Q,)) == gram_certify(C, [Q], tols[0])

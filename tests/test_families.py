@@ -6,8 +6,8 @@ import pytest
 
 from oracles import brute_force_twist_fiber_first, brute_force_twist_total_first, twist_point
 from rankjump import families
-from rankjump.curves import on_curve, point
-from rankjump.errors import DegenerateFiber, FamilyFormatError, PoleAtPoint
+from rankjump.curves import integral_model, on_curve, point, point_ints, point_to_integral
+from rankjump.errors import DegenerateFiber, FamilyFormatError, PoleAtPoint, SingularCurve
 from rankjump.factorization import squarefree_part
 from rankjump.families import (
     CubicPencil,
@@ -84,9 +84,10 @@ def test_fiber_examples():
 
 
 def _twist_point(f, lam, x0, y0):
-    """f.point at (lam, x0, y0), with the fiber, d(lam) and p(x0) it takes."""
+    """f.point at (lam, x0, y0), with d(lam), its fiber model and p(x0)."""
     lam, x0, y0 = Fraction(lam), Fraction(x0), Fraction(y0)
-    return f.point(f.fiber(lam), lam, poly_eval(f.d, lam), x0, y0, poly_eval(f.p, x0))
+    d0 = poly_eval(f.d, lam)
+    return f.point(lam, d0, f.fiber_model(d0), x0, y0, poly_eval(f.p, x0))
 
 
 def test_twist_witness_examples():
@@ -292,9 +293,11 @@ def test_twist_fiber_first_is_linear_in_the_rationals(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["fiber-first", "total-first"])
 def test_twist_walks_reuse_what_they_hold(monkeypatch, mode):
-    # evaluations of p or d, by Fractions or by integer forms
-    evals, curves = [], []
+    # evaluations of p or d, by Fractions or by integer forms; fiber models;
+    # and curves built
+    evals, models, curves = [], [], []
     real_curve = families.Curve
+    fiber_model = families._Twist.fiber_model
 
     def counting(name):
         real = getattr(families, name)
@@ -309,25 +312,77 @@ def test_twist_walks_reuse_what_they_hold(monkeypatch, mode):
         curves.append((A, B))
         return real_curve(A, B)
 
+    def counting_model(self, d0):
+        models.append(d0)
+        return fiber_model(self, d0)
+
     counting("poly_eval")
     counting("int_form_eval")
     monkeypatch.setattr(families, "Curve", counting_curve)
+    monkeypatch.setattr(families._Twist, "fiber_model", counting_model)
     f = TwistQuadratic(c=Fraction(1), a=Fraction(-1), p=X3_PLUS_1)
     pts, stats = witness_stream(f, 10, mode)
     n_rats = len(list(iter_rationals(10)))
     assert pts and n_rats == 127
+    # no fiber is built: the one curve is the depressed cubic, for its model
+    assert curves == [(0, 1)]
     if mode == "fiber-first":
-        # p(x0) once per x0, d(lam) once per lam, one fiber per lam
+        # p(x0) once per x0, d(lam) once per lam, one fiber model per lam
         assert len(evals) <= 2 * n_rats
-        assert len(curves) <= n_rats - stats.degenerate_skipped
+        assert len(models) <= n_rats - stats.degenerate_skipped
         # and none for a lam without witnesses: x^3 + x + 1 has no rational
         # root, so most lams have none
-        curves.clear()
+        models.clear()
         pts, _ = witness_stream(TwistLinear(p=poly([1, 1, 0, 1])), 10, mode)
-        assert len(curves) == len({w.param for w in pts}) < n_rats // 2
+        assert len(models) == len({w.param for w in pts}) < n_rats // 2
     else:
         # p(x0) once per x0; d is never evaluated, as d(t) = p(x0)/y0^2
         assert len(evals) == n_rats
+        # one fiber model per (x0, y0) with params, shared by t and -t,
+        # which also share the fiber and the witness on it
+        assert len(models) == len({(w.curve, w.witness) for w in pts}) < len(pts)
+
+
+# Twists whose fibers take their scales from d0 alone (x^3 - x, u0 = 1) and
+# from the depressed cubic's scale u0 as well: the twist_linear
+# (x - 1/2)(x + 1/3)(x - 2) (shift -13/18, u0 = 6), and the twist_quadratic
+# (shift 1/9) and twist_poly (shift 1/3) with non-integer coefficients that
+# test_acceptance pins.
+INTEGRAL_FORM_CASES = [
+    TwistLinear(p=X3_MINUS_X),
+    TwistLinear(p=poly([Fraction(1, 3), Fraction(1, 6), Fraction(-13, 6), 1])),
+    TwistQuadratic(
+        c=Fraction(3, 2), a=Fraction(-5, 4), p=poly([Fraction(1, 2), -1, Fraction(1, 3), 1])
+    ),
+    TwistPoly(d=poly([Fraction(-3, 4), Fraction(5, 4), Fraction(1, 2)]), p=poly([0, -1, 1, 1])),
+]
+
+
+@pytest.mark.parametrize("mode", ["fiber-first", "total-first"])
+@pytest.mark.parametrize("f", INTEGRAL_FORM_CASES, ids=lambda f: f.family_id)
+def test_twist_walks_emit_each_fibers_integral_model(f, mode):
+    # The walks build the integral form from ints; it must be exactly what
+    # integral_model and point_to_integral give on the fiber fiber_at builds.
+    pts, _ = witness_stream(f, 6, mode)
+    scales = set()
+    for w in pts:
+        C = fiber_at(f, w.param)
+        Cm, u = integral_model(C)
+        assert (w.A, w.B, w.u) == (Cm.A, Cm.B, u)
+        assert w.curve == C and on_curve(C, w.witness)
+        assert w.model_witness == point_ints(point_to_integral(w.witness, u))
+        scales.add(u)
+    assert len(scales) > 1
+
+
+@pytest.mark.parametrize("mode", ["fiber-first", "total-first"])
+@pytest.mark.parametrize("p", [poly([0, 0, 0, 1]), poly([2, -3, 0, 1])], ids=["x^3", "(x-1)^2(x+2)"])
+def test_twist_walks_check_the_cubic_in_place_of_each_fiber(p, mode):
+    # The fiber at d0 != 0 has discriminant d0^6 times the depressed cubic's,
+    # so the walks build no fiber to test: the cubic's own model, taken before
+    # any point is emitted, refuses an inseparable p (which validate rejects).
+    with pytest.raises(SingularCurve):
+        witness_stream(TwistLinear(p=p), 3, mode)
 
 
 def test_twist_constants_computed_once(monkeypatch):
