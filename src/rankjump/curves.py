@@ -162,8 +162,14 @@ def mul(C: Curve, n: int, P: Point) -> Point:
     return _mul(C, n, P)
 
 
-def _den_valuations(q: Fraction) -> dict[int, int]:
-    return factorize(q.denominator) if q.denominator > 1 else {}
+def integral_scale(dA: int, dB: int) -> int:
+    """The least u >= 1 with dA | u^4 and dB | u^6 (dA, dB >= 1): the
+    scale of every integral model, from the reduced denominators of A, B."""
+    eA, eB = factorize(dA), factorize(dB)
+    u = 1
+    for p in eA.keys() | eB.keys():
+        u *= p ** max(-(-eA.get(p, 0) // 4), -(-eB.get(p, 0) // 6))
+    return u
 
 
 def integral_model(C: Curve) -> tuple[Curve, int]:
@@ -173,14 +179,7 @@ def integral_model(C: Curve) -> tuple[Curve, int]:
     The isomorphism (x, y) -> (u^2 x, u^3 y) carries points over and
     preserves canonical heights.
     """
-    vals: dict[int, int] = {}
-    for p, e in _den_valuations(C.A).items():
-        vals[p] = max(vals.get(p, 0), -(-e // 4))
-    for p, e in _den_valuations(C.B).items():
-        vals[p] = max(vals.get(p, 0), -(-e // 6))
-    u = 1
-    for p, e in sorted(vals.items()):
-        u *= p**e
+    u = integral_scale(C.A.denominator, C.B.denominator)
     if u == 1:
         return C, 1
     return Curve(C.A * u**4, C.B * u**6), u
@@ -228,7 +227,7 @@ def torsion_order(C: Curve, P: Point) -> Optional[int]:
     require_on_curve(C, P)
     if P.y == 0:
         return 2
-    cfp = _curve_mod(C, good_primes(C, 1, SCREEN_PRIME_START)[0])
+    cfp = _curve_mod(C, good_primes(C, 1)[0])
     n = cfp.order(cfp.reduce(P))
     return n if n is not None and _mul(C, n, P).is_infinity else None
 
@@ -312,12 +311,12 @@ def reduce_mod_p(C: Curve, P: Point, p: int) -> tuple[CurveFp, Optional[tuple[in
     return cfp, cfp.reduce(P)
 
 
-def good_primes(C: Curve, count: int, start: int = 3) -> list[int]:
-    """The first `count` odd primes >= start at which C itself has good
-    reduction: p divides neither den(A), den(B) nor num(disc)."""
+def good_primes(C: Curve, count: int) -> list[int]:
+    """The first `count` primes >= SCREEN_PRIME_START at which C itself has
+    good reduction: p divides neither den(A), den(B) nor num(disc)."""
     bad = _bad_part(C)
     out: list[int] = []
-    p = start | 1
+    p = SCREEN_PRIME_START
     while len(out) < count:
         if is_probable_prime(p) and bad % p != 0:
             out.append(p)
@@ -359,7 +358,7 @@ def small_relation_search(
             tab[-n] = neg(tab[n])
         tables.append(tab)
     reduced = []
-    for p in good_primes(C, 2, SCREEN_PRIME_START):
+    for p in good_primes(C, 2):
         cfp = _curve_mod(C, p)
         reduced.append((cfp, [{n: cfp.reduce(Q) for n, Q in tab.items()} for tab in tables]))
 

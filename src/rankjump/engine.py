@@ -53,7 +53,7 @@ from .families import (
     require_valid,
     witness_stream,
 )
-from .heights import GramCertificate, gram_certify, model_of, tolerance
+from .heights import GramCertificate, HeightModel, gram_certify, tolerance
 from .intervals import CTX
 from .polynomials import Poly, poly_eval
 from .rationals import format_rational, is_rational_square, iter_rationals, rat_height
@@ -131,18 +131,17 @@ def _torsion(memo: dict, A: int, B: int, P: tuple[int, int, int, int]) -> bool:
 
 def _gram(memo: dict, A: int, B: int, pts: dict, tol: Decimal) -> GramCertificate:
     """gram_certify for non-torsion points on the integral model
-    y^2 = x^3 + Ax + B, once per memo key (A, B, tol, *point_ints of each),
-    with the model's height constants, which the memo keeps once per key
-    (A, B).  pts maps each point's point_ints on the model to the point on
-    the fiber, which the certificate carries."""
+    y^2 = x^3 + Ax + B, handed its HeightModel, once per memo key
+    (A, B, tol, *point_ints of each); the memo keeps that model once per
+    key (A, B).  pts maps each point's point_ints on the model to the
+    point on the fiber, which the certificate carries."""
     key = (A, B, tol, *(n for P in pts for n in P))
     cert = memo.get(key)
     if cert is None:
-        Cm = curve(A, B)
         model = memo.get((A, B))
         if model is None:
-            model = memo[(A, B)] = model_of(Cm)[0]
-        cert = memo[key] = gram_certify(Cm, [point_from_ints(P) for P in pts], tol, model)
+            model = memo[(A, B)] = HeightModel(A, B)
+        cert = memo[key] = gram_certify(model.curve, [point_from_ints(P) for P in pts], tol, model)
     return replace(cert, points=tuple(pts.values()))
 
 
@@ -165,13 +164,14 @@ def certify_fiber(
     (TotalSpacePoint); only the sections are mapped there, by
     (x, y) -> (u^2 x, u^3 y).  Candidates certified with one memo dict
     compute each torsion status and each Gram outcome once per integral
-    model and integral points, and each model's height constants once per
-    (A, B): the map preserves torsion, canonical heights and the group law,
-    so a shared answer is the one this fiber would compute.  A curve or
-    point on the model is built only on a miss.  A Gram gets only points
-    screened non-torsion here, so it skips their torsion screen (see
-    gram_certify).  The certificate keeps the fiber's curve, sections and
-    witness, read off w.
+    model and integral points, and each model's height constants (its
+    HeightModel) once per (A, B): the map preserves torsion, canonical
+    heights and the group law, so a shared answer is the one this fiber
+    would compute.  A curve or point on the model is built only on a miss.
+    A Gram is handed the HeightModel and gets only points screened
+    non-torsion here, so it runs on the model as given and skips their
+    torsion screen (see gram_certify).  The certificate keeps the fiber's
+    curve, sections and witness, read off w.
 
     No point is checked on the fiber here.  A miss checks it on the model
     (torsion_order and gram_certify require their points on the curve), and

@@ -28,8 +28,10 @@ the `witness_stream` driver, and the public entry points `validate_family`,
 A candidate is emitted in integral form (`TotalSpacePoint`): the walk that
 finds a witness hands over the fiber's integral model, its scale and the
 witness on the model as ints, which is where certification runs.  The
-twist walks build that form from integers alone; the other kinds map
-each fiber once with `integral_model`.
+scale is decided by one rule, `curves.integral_scale`: the twist walks
+apply it to the fiber's two reduced denominators, built from integers
+alone, and the other kinds map each fiber once with `integral_model`,
+which applies it too.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .curves import (
     Curve,
     Point,
     integral_model,
+    integral_scale,
     on_curve,
     point_from_ints,
     point_ints,
@@ -55,7 +58,7 @@ from .errors import (
     PoleAtPoint,
     SingularCurve,
 )
-from .factorization import factorize, squarefree_part
+from .factorization import squarefree_part
 from .polynomials import (
     IntForm,
     Poly,
@@ -212,15 +215,6 @@ class Family:
                     yield TotalSpacePoint.on_model(lam, Cm, u, Point(X0, Y0))
 
 
-def _valuation(n: int, p: int) -> int:
-    """The exponent of the prime p in n != 0."""
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 class _Twist(Family):
     """d(t) y^2 = p(x), with d(t) a polynomial `d` on every twist kind."""
 
@@ -235,12 +229,12 @@ class _Twist(Family):
         return int_form(self.p), int_form(self.d)
 
     @cached_property
-    def cubic_model(self) -> tuple[int, int, int, tuple[int, ...]]:
-        """(A0, B0, u0, the primes of u0): the depressed cubic's integral model
-        and its scale (integral_model)."""
+    def cubic_model(self) -> tuple[int, int, int]:
+        """(A0, B0, u0): the depressed cubic's integral model and its scale
+        (integral_model)."""
         A, B, _ = self.depressed
         Cm, u0 = integral_model(Curve(A, B))
-        return Cm.A.numerator, Cm.B.numerator, u0, tuple(factorize(u0))
+        return Cm.A.numerator, Cm.B.numerator, u0
 
     def fiber(self, lam: Fraction) -> Curve:
         d0 = poly_eval(self.d, lam)
@@ -255,20 +249,15 @@ class _Twist(Family):
     def fiber_model(self, d0: Fraction) -> tuple[int, int, int]:
         """(A, B, u): the integral model of the fiber where d(t) = d0 = a/b
         and its scale, as integral_model gives them, from ints.  The fiber
-        is y^2 = x^3 + A0 a^2/(u0^4 b^2) x + B0 a^3/(u0^6 b^3), so only
-        primes of u0 b divide its denominators, and u takes each such p to
-        the least power whose 4th and 6th powers clear them."""
+        is y^2 = x^3 + A0 a^2/(u0^4 b^2) x + B0 a^3/(u0^6 b^3), and u is
+        integral_scale of its two reduced denominators."""
         if d0 == 0:
             raise DegenerateFiber("d(t) = 0")
-        A0, B0, u0, u0_primes = self.cubic_model
+        A0, B0, u0 = self.cubic_model
         a, b = d0.numerator, d0.denominator
         nA, dA = A0 * a * a, u0**4 * b * b
         nB, dB = B0 * a**3, u0**6 * b**3
-        g, h = gcd(nA, dA), gcd(nB, dB)
-        nA, dA, nB, dB = nA // g, dA // g, nB // h, dB // h
-        u = 1
-        for p in {*u0_primes, *factorize(b)}:
-            u *= p ** max(-(-_valuation(dA, p) // 4), -(-_valuation(dB, p) // 6))
+        u = integral_scale(dA // gcd(nA, dA), dB // gcd(nB, dB))
         return nA * u**4 // dA, nB * u**6 // dB, u
 
     def point(

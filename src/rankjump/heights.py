@@ -41,6 +41,7 @@ from .curves import (
     Curve,
     Point,
     add,
+    curve,
     integral_model,
     is_torsion,
     point_to_integral,
@@ -101,19 +102,17 @@ def v7_cofactors(A: int, B: int) -> tuple[tuple[int, int, int, int], tuple[int, 
 
 
 class XChain:
-    """The x-coordinate orbit of repeated doubling on an integral model.
+    """The x-coordinate orbit of repeated doubling on a HeightModel.
 
     State is the reduced pair (u, v) for x(2^N P).  Reduction after each
     step divides out gcd(F, G), which divides 4D, so it costs one small
     gcd instead of a gcd of the full-size coordinates.
     """
 
-    def __init__(self, C: Curve, P: Point):
+    def __init__(self, m: "HeightModel", P: Point):
         if P.is_infinity:
             raise ValueError("chain requires an affine point")
-        self.a = int(C.A)
-        self.b = int(C.B)
-        self.t = abs(C.discriminant.numerator) // 4  # 4|4A^3 + 27B^2|
+        self.a, self.b, self.t = m.a, m.b, m.t
         self.u = P.x.numerator
         self.v = P.x.denominator
         self.depth = 0
@@ -142,15 +141,16 @@ class XChain:
         return max(self.u.bit_length(), self.v.bit_length())
 
 
-class _Model:
-    """An integral model y^2 = x^3 + Ax + B and its defect bounds
-    -alpha <= h(2P) - 4h(P) <= beta: alpha = ln S for S the larger
-    coefficient sum of the u^7 and v^7 identities, s_bits = bits(S), and
-    beta = ln c1."""
+class HeightModel:
+    """An integral model y^2 = x^3 + Ax + B (ints a, b), t = 4|4A^3 + 27B^2|
+    and its defect bounds -alpha <= h(2P) - 4h(P) <= beta: alpha = ln S for
+    S the larger coefficient sum of the u^7 and v^7 identities, s_bits =
+    bits(S), and beta = ln c1."""
 
-    def __init__(self, Cm: Curve):
-        self.curve = Cm
-        A, B = Cm.A.numerator, Cm.B.numerator
+    def __init__(self, A: int, B: int):
+        self.a, self.b = A, B
+        self.t = 4 * abs(4 * A**3 + 27 * B * B)
+        self.curve = curve(A, B)
         S = max(sum(map(abs, f + g)) for f, g in (v7_cofactors(A, B), u7_cofactors(A, B)))
         c1 = max(1 + 2 * abs(A) + 8 * abs(B) + A * A, 4 * (1 + abs(A) + abs(B)))
         self.alpha = ln_int_interval(S).hi
@@ -160,7 +160,7 @@ class _Model:
     def chain(self, P: Point) -> Optional[XChain]:
         """P's doubling chain, or None when P is torsion (infinity
         included): its height is exactly 0."""
-        return None if is_torsion(self.curve, P) else XChain(self.curve, P)
+        return None if is_torsion(self.curve, P) else XChain(self, P)
 
     def interval(self, chain: Optional[XChain]) -> Interval:
         """[L_N - alpha/(3*4^N), L_N + beta/(3*4^N)] at the chain's depth N."""
@@ -177,10 +177,10 @@ class _Model:
         return self.interval(chain)
 
 
-def model_of(C: Curve) -> tuple[_Model, int]:
-    """C's integral model (x, y) -> (u^2 x, u^3 y) as a _Model, and u."""
+def model_of(C: Curve) -> tuple[HeightModel, int]:
+    """C's integral model (x, y) -> (u^2 x, u^3 y) as a HeightModel, and u."""
     Cm, u = integral_model(C)
-    return _Model(Cm), u
+    return HeightModel(Cm.A.numerator, Cm.B.numerator), u
 
 
 def depth_for_tolerance(alpha: Decimal, beta: Decimal, tol: Decimal) -> int:
@@ -278,23 +278,24 @@ class GramCertificate:
 
 
 def gram_certify(
-    C: Curve, points: Sequence[Point], tol, model: Optional[_Model] = None
+    C: Curve, points: Sequence[Point], tol, model: Optional[HeightModel] = None
 ) -> GramCertificate:
     """Certify independence of points via a positive interval Gram determinant.
 
-    The points are checked on C (on the curve, pairwise distinct), then
-    mapped to C's integral model, where the heights are refined; sums are
-    taken there too.  The map preserves canonical heights, torsion and the
-    group law, so the outcome is the one C would give.
+    The points are checked on C (on the curve, pairwise distinct).  With no
+    model they are then mapped to C's integral model (model_of), where the
+    heights are refined; sums are taken there too.  The map preserves
+    canonical heights, torsion and the group law, so the outcome is the one
+    C would give.
 
-    A caller that holds model_of(C)'s model may pass it (ValueError if it is
-    another curve's), and then vouches that the points are not torsion: its
-    defect logarithms are reused, and the points' own chains start without
-    a torsion screen.  The sums P_i + P_j are still screened.  A torsion
-    point passed anyway cannot certify, since its enclosure, like every
-    enclosure here, contains its true height 0, so the determinant's
-    contains 0 too; a point of even order may instead end the doubling
-    with ArithmeticError.
+    A caller may instead hand over C's own HeightModel (ValueError unless
+    model.curve == C), and then the points are used as passed.  It vouches
+    that they are not torsion: the model's defect logarithms are reused,
+    and the points' own chains start without a torsion screen.  The sums
+    P_i + P_j are still screened.  A torsion point passed anyway cannot
+    certify, since its enclosure, like every enclosure here, contains its
+    true height 0, so the determinant's contains 0 too; a point of even
+    order may instead end the doubling with ArithmeticError.
 
     All height chains advance together, one doubling per round, until
     either the determinant's lower bound turns positive (early success),
@@ -314,19 +315,21 @@ def gram_certify(
     if len({(P.x, P.y) for P in pts}) != len(pts):
         raise ValueError("points must be pairwise distinct")
 
-    Cm, u = integral_model(C)
-    if model is not None and model.curve != Cm:
-        raise ValueError(f"the model {model.curve} is not the integral model of {C}")
-    m = _Model(Cm) if model is None else model
+    if model is None:
+        m, u = model_of(C)
+        ipts = [point_to_integral(P, u) for P in pts]
+    elif model.curve == C:
+        m, ipts = model, pts
+    else:
+        raise ValueError(f"the model {model.curve} is not the curve {C}")
     try:
         target = depth_for_tolerance(m.alpha, m.beta, tol_d)
     except ToleranceUnreachable:
         target = DEPTH_CAP
-    ipts = [point_to_integral(P, u) for P in pts]
     k = len(pts)
     chains: dict[tuple[int, int], Optional[XChain]] = {}
     for i in range(k):
-        chains[(i, i)] = m.chain(ipts[i]) if model is None else XChain(Cm, ipts[i])
+        chains[(i, i)] = m.chain(ipts[i]) if model is None else XChain(m, ipts[i])
         for j in range(i + 1, k):
             chains[(i, j)] = m.chain(add(m.curve, ipts[i], ipts[j]))
 

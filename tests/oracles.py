@@ -167,6 +167,22 @@ def twist_point(f, lam, x0, y0):
     return d0 * (x0 + Fraction(f.p[2]) / 3), d0 * d0 * y0
 
 
+def small_good_primes(C, count, start):
+    """The first count odd primes p >= start at which C itself has good
+    reduction: p divides neither den(A), den(B) nor the numerator of
+    4A^3 + 27B^2.  curves.good_primes starts at the torsion screen's prime;
+    this reaches the small primes, where a reduction is small enough to
+    enumerate."""
+    bad = C.A.denominator * C.B.denominator * (4 * C.A**3 + 27 * C.B**2).numerator
+    out = []
+    p = max(3, start | 1)
+    while len(out) < count:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)) and bad % p:
+            out.append(p)
+        p += 2
+    return out
+
+
 def perfect_square_root(n: int):
     if n < 0:
         return None

@@ -16,13 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from oracles import doubling_limit_height
+from oracles import doubling_limit_height, small_good_primes
 from rankjump.cli import main as cli_main
 from rankjump.curves import (
     Curve,
     add,
     curve,
-    good_primes,
     mul,
     neg,
     point,
@@ -65,7 +64,7 @@ def test_criterion_1_group_law():
     triples_checked = 0
     for _ in range(20):
         C, P, Q = _random_curve_with_points(rng)
-        primes = good_primes(C, 3)
+        primes = small_good_primes(C, 3, 3)
         # a pool of bounded-height points on C to draw triples from
         pool = [P, Q, add(C, P, Q), mul(C, 2, P), add(C, P, neg(Q)), mul(C, 2, Q)]
         pool = [T for T in pool if not T.is_infinity]

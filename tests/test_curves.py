@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import oracle_add, oracle_mul
+from oracles import oracle_add, oracle_mul, small_good_primes
 from rankjump.curves import (
     Curve,
     INFINITY,
@@ -23,7 +24,6 @@ from rankjump.curves import (
     parse_point,
     point,
     point_to_integral,
-    SCREEN_PRIME_START,
     reduce_mod_p,
     small_relation_search,
     torsion_order,
@@ -97,6 +97,34 @@ def test_integral_model_examples():
     assert Ci is C and u == 1  # an integral curve is its own model, not a copy
     Ci, u = integral_model(curve(0, Fraction(1, 27)))
     assert (Ci.A, Ci.B, u) == (0, 27, 3)
+
+
+# Denominators from primes below and above the trial-division bound of
+# factorize (1000), with exponents around the rule's 4 and 6.
+_SCALE_PRIMES = (2, 3, 5, 1009, 10007)
+_DENOMINATORS = st.lists(
+    st.tuples(st.sampled_from(_SCALE_PRIMES), st.integers(1, 13)), max_size=3
+).map(lambda pes: prod(p**e for p, e in pes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**6), 10**6), _DENOMINATORS, st.integers(-(10**6), 10**6), _DENOMINATORS)
+@example(1, 2, 0, 1)  # u from A alone: 2 | u^4 needs u = 2
+@example(0, 1, 1, 2**7)  # u from B alone: 2^7 | u^6 needs u = 4
+def test_integral_model_takes_the_least_scale(nA, dA, nB, dB):
+    A, B = Fraction(nA, dA), Fraction(nB, dB)
+    assume(4 * A**3 + 27 * B**2 != 0)
+    Cm, u = integral_model(curve(A, B))
+    assert Cm == curve(A * u**4, B * u**6)
+    assert (A * u**4).denominator == (B * u**6).denominator == 1
+    rest = u
+    for p in _SCALE_PRIMES:
+        if u % p == 0:
+            v = u // p
+            assert (A * v**4).denominator > 1 or (B * v**6).denominator > 1
+        while rest % p == 0:
+            rest //= p
+    assert rest == 1  # no prime outside the denominators
 
 
 def test_integral_model_point_map():
@@ -289,7 +317,7 @@ def test_torsion_screen_point_reducing_to_infinity_at_1009():
     for a, w in ((1, 1), (3, 2), (-2, 5)):
         C = curve(1009**2 * a, -a * w * w)
         P = point(Fraction(w * w, 1009**2), Fraction(w**3, 1009**3))
-        assert good_primes(C, 1, 1009) == [1009]
+        assert good_primes(C, 1) == [1009]
         assert reduce_mod_p(C, P, 1009)[1] is None
         assert _check_screen(C, P) is None
 
@@ -301,7 +329,7 @@ def test_torsion_screen_moves_past_bad_1009():
         seen = set()
         for C, P in _torsion_points()[::3] + [(curve(-36, 0), point(12, 36))]:
             C, P = _rescale(C, P, u)
-            assert good_primes(C, 1, 1009)[0] > bad
+            assert good_primes(C, 1)[0] > bad
             seen.add(_check_screen(C, P))
         assert None in seen and len(seen) > 5
 
@@ -318,7 +346,7 @@ def test_torsion_screen_random_non_torsion():
             non_torsion += 1
             # Count the points whose reduction has order <= 12 anyway, so
             # the exact confirmation rejects them.
-            cfp, Rb = reduce_mod_p(C, R, good_primes(C, 1, 1009)[0])
+            cfp, Rb = reduce_mod_p(C, R, good_primes(C, 1)[0])
             confirmed += Rb is not None and cfp.order(Rb) is not None
     assert confirmed > 0
 
@@ -362,7 +390,7 @@ def test_integral_model_moves_the_screen_prime_and_keeps_the_order():
     for C, P in _TORSION_POINTS[::2] + [(curve(-36, 0), point(12, 36))]:
         C, P = _rescale(C, P, Fraction(1, 1009))
         Cm, u = integral_model(C)
-        assert good_primes(C, 1, SCREEN_PRIME_START) != good_primes(Cm, 1, SCREEN_PRIME_START)
+        assert good_primes(C, 1) != good_primes(Cm, 1)
         want = torsion_order(Cm, point_to_integral(P, u))
         assert torsion_order(C, P) == want
         orders.add(want)
@@ -372,7 +400,7 @@ def test_integral_model_moves_the_screen_prime_and_keeps_the_order():
 def _reduction_rule(C, P):
     """The module's torsion rule spelled out: the order n of P at the first
     good prime >= 1009, kept only if the exact n P is O."""
-    cfp, R = reduce_mod_p(C, P, good_primes(C, 1, SCREEN_PRIME_START)[0])
+    cfp, R = reduce_mod_p(C, P, good_primes(C, 1)[0])
     n = cfp.order(R)
     return n if n is not None and mul(C, n, P).is_infinity else None
 
@@ -405,12 +433,11 @@ def test_reduce_mod_p_non_integral_curve():
     for p in (2, 3, 13):
         with pytest.raises(ValueError, match=f"^p={p} divides 2, a denominator"):
             reduce_mod_p(C, INFINITY, p)
-    assert good_primes(C, 3) == [5, 7, 11]
-    assert good_primes(C, 2, 1000) == good_primes(C, 2, 1009) == [1009, 1013]
+    assert good_primes(C, 2) == [1009, 1013]
     P = point(0, Fraction(1, 3))
     Q = point(Fraction(1, 2), Fraction(1, 3))
     pts = [P, Q, add(C, P, Q), mul(C, 2, P), mul(C, 3, Q), add(C, P, neg(Q))]
-    for p in good_primes(C, 3) + good_primes(C, 2, 1009):
+    for p in [5, 7, 11] + good_primes(C, 2):
         for S in pts:
             for T in pts:
                 cfp, Sb = reduce_mod_p(C, S, p)
@@ -436,7 +463,7 @@ def test_curve_fp_order_matches_repeated_add():
     rng = random.Random(11)
     for _ in range(6):
         C = _random_two_point_curve(rng)[0]
-        for p in good_primes(C, 3, 5):
+        for p in small_good_primes(C, 3, 5):
             cfp = reduce_mod_p(C, INFINITY, p)[0]
             pts = [None] + [(x, y) for x in range(p) for y in range(p) if _on_fp(cfp, (x, y))]
             for R in pts:

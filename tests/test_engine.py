@@ -26,6 +26,8 @@ from rankjump.curves import (
 )
 from rankjump.engine import (
     DEFAULT_SCAN_TOL,
+    BillingCertificate,
+    BillingWitness,
     billing_build,
     certify_fiber,
     neron_check,
@@ -800,6 +802,26 @@ def test_revalidate_rejects_unit_zero_and_non_squarefree_classes(classes):
     assert cert.classes == (6, 15)
     with pytest.raises(InvalidCertificate, match="^a class is 0, 1 or not squarefree$"):
         dataclasses.replace(cert, classes=classes).revalidate()
+
+
+def test_revalidate_rejects_dependent_classes():
+    # 6 * 5 = 30, so Q(sqrt 6, sqrt 5, sqrt 30) has degree 4, not 8, although
+    # each witness is a genuine non-torsion point on its twist of x^3 - x:
+    # p(x0) = d s^2 at x0 = -1/2, -4/5, -2/3.
+    witnesses = []
+    for d, x0, s in (
+        (6, Fraction(-1, 2), Fraction(1, 4)),
+        (5, Fraction(-4, 5), Fraction(6, 25)),
+        (30, Fraction(-2, 3), Fraction(1, 9)),
+    ):
+        twist, P = curve(-d * d, 0), point(d * x0, d * d * s)
+        assert on_curve(twist, P) and not is_torsion(twist, P)
+        witnesses.append(BillingWitness(x0=x0, s=s, point=P, twist_curve=twist))
+    cert = BillingCertificate(
+        curve=curve(-1, 0), r=3, classes=(6, 5, 30), witnesses=tuple(witnesses), rank_bound=3
+    )
+    with pytest.raises(InvalidCertificate, match="^classes are not independent$"):
+        cert.revalidate()
 
 
 def test_revalidate_raises_under_optimize():

@@ -1,12 +1,13 @@
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_twist_fiber_first, brute_force_twist_total_first, twist_point
 from rankjump import families
-from rankjump.curves import integral_model, on_curve, point, point_ints, point_to_integral
+from rankjump.curves import Curve, integral_model, on_curve, point, point_ints, point_to_integral
 from rankjump.errors import DegenerateFiber, FamilyFormatError, PoleAtPoint, SingularCurve
 from rankjump.factorization import squarefree_part
 from rankjump.families import (
@@ -373,6 +374,30 @@ def test_twist_walks_emit_each_fibers_integral_model(f, mode):
         assert w.model_witness == point_ints(point_to_integral(w.witness, u))
         scales.add(u)
     assert len(scales) > 1
+
+
+# d0 = a/b with primes below and above factorize's trial-division bound.
+_D0_PRIMES = st.sampled_from((2, 3, 5, 7, 1009, 10007))
+_D0_PART = st.lists(st.tuples(_D0_PRIMES, st.integers(1, 9)), max_size=3).map(
+    lambda pes: prod(p**e for p, e in pes)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(INTEGRAL_FORM_CASES),
+    st.sampled_from((1, -1)),
+    _D0_PART,
+    st.integers(1, 10**4),
+    _D0_PART,
+)
+def test_fiber_model_is_the_fibers_integral_model(f, sign, a, c, b):
+    # The walks' fiber_model(d0) and integral_model of the fiber
+    # y^2 = x^3 + A d0^2 x + B d0^3 share one scale rule; they must agree.
+    d0 = Fraction(sign * a * c, b)
+    A, B, _ = f.depressed
+    Cm, u = integral_model(Curve(A * d0 * d0, B * d0**3))
+    assert f.fiber_model(d0) == (Cm.A, Cm.B, u)
 
 
 @pytest.mark.parametrize("mode", ["fiber-first", "total-first"])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 
 from oracles import doubling_limit_height, reference_gram_certify
 from rankjump import heights
-from rankjump.curves import INFINITY, curve, integral_model, is_torsion, mul, point
+from rankjump.curves import INFINITY, curve, is_torsion, mul, point, point_to_integral
 from rankjump.errors import PointNotOnCurve, ToleranceUnreachable
 from rankjump.heights import (
     XChain,
@@ -54,8 +55,7 @@ def test_duplication_identities_exact():
 
 
 def test_xchain_matches_oracle_doubling():
-    Ci, u = integral_model(BENCH)
-    chain = XChain(Ci, BENCH_P)
+    chain = XChain(heights.HeightModel(-16, 16), BENCH_P)
     P = (BENCH_P.x, BENCH_P.y)
     C = BENCH
     from oracles import oracle_add
@@ -174,8 +174,9 @@ def test_gram_two_independent_points():
 
 
 def test_gram_given_its_model_skips_only_the_points_torsion_screen(monkeypatch):
-    # With C's model, gram_certify reuses its defect logarithms and takes
-    # the given points as non-torsion; the sum of a pair is still screened.
+    # Handed the model C maps to, gram_certify runs on the model's curve and
+    # the points as passed: it reuses the model's defect logarithms and takes
+    # the points as non-torsion; the sum of a pair is still screened.
     screened = []
 
     def counted(C, P):
@@ -188,13 +189,18 @@ def test_gram_given_its_model_skips_only_the_points_torsion_screen(monkeypatch):
     cases = [(C, [P]) for C, P in _random_singletons(7, 8)]
     cases += [(C2, [point(0, Fraction(1, 2))]), (curve(-7, 10), [point(1, 2), point(2, 2)])]
     for C, pts in cases:
-        model, _ = heights.model_of(C)
+        model, u = heights.model_of(C)
+        ipts = tuple(point_to_integral(P, u) for P in pts)
         screened.clear()
-        given = gram_certify(C, pts, tol, model)
+        given = gram_certify(model.curve, ipts, tol, model)
         assert len(screened) == len(pts) * (len(pts) - 1) // 2
-        assert given == gram_certify(C, pts, tol)
-    with pytest.raises(ValueError, match="is not the integral model of"):
+        assert given == dataclasses.replace(gram_certify(C, pts, tol), points=ipts)
+    # The model must be C itself: another curve's is refused, and so is the
+    # integral model of a C that is not integral.
+    with pytest.raises(ValueError, match="is not the curve"):
         gram_certify(BENCH, [BENCH_P], tol, heights.model_of(curve(-36, 0))[0])
+    with pytest.raises(ValueError, match="is not the curve"):
+        gram_certify(C2, [point(0, Fraction(1, 2))], tol, heights.model_of(C2)[0])
     with pytest.raises(PointNotOnCurve):
         gram_certify(BENCH, [point(0, 5)], tol, heights.model_of(BENCH)[0])
 
