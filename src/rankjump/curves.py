@@ -48,16 +48,17 @@ class Curve:
     B: Fraction
 
     def __post_init__(self) -> None:
-        # 4A^3 + 27B^2 = 0, cleared of its denominators den(A)^3 den(B)^2
-        A, B = self.A, self.B
-        if 4 * A.numerator**3 * B.denominator**2 + 27 * B.numerator**2 * A.denominator**3 == 0:
+        if self.singular_form == 0:
             raise SingularCurve(
-                f"4A^3+27B^2 = 0 for A={format_rational(A)}, B={format_rational(B)}"
+                f"4A^3+27B^2 = 0 for A={format_rational(self.A)}, B={format_rational(self.B)}"
             )
 
     @property
-    def discriminant(self) -> Fraction:
-        return -16 * (4 * self.A**3 + 27 * self.B**2)
+    def singular_form(self) -> int:
+        """4A^3 + 27B^2 cleared of den(A)^3 den(B)^2, an int: 0 exactly when
+        C is singular, and 4A^3 + 27B^2 itself when A and B are ints."""
+        A, B = self.A, self.B
+        return 4 * A.numerator**3 * B.denominator**2 + 27 * B.numerator**2 * A.denominator**3
 
     def __str__(self) -> str:
         return f"y^2 = x^3 + ({format_rational(self.A)})x + ({format_rational(self.B)})"
@@ -172,17 +173,16 @@ def integral_scale(dA: int, dB: int) -> int:
     return u
 
 
-def integral_model(C: Curve) -> tuple[Curve, int]:
-    """Minimal positive integer u with (u^4 A, u^6 B) integral, and the
-    curve (u^4 A, u^6 B), which is C itself when u = 1.
+def integral_model(C: Curve) -> tuple[int, int, int]:
+    """(A, B, u): C's integral model y^2 = x^3 + Ax + B, two ints, and its
+    scale u = integral_scale, the least u >= 1 with u^4 A and u^6 B integral.
 
     The isomorphism (x, y) -> (u^2 x, u^3 y) carries points over and
     preserves canonical heights.
     """
-    u = integral_scale(C.A.denominator, C.B.denominator)
-    if u == 1:
-        return C, 1
-    return Curve(C.A * u**4, C.B * u**6), u
+    A, B = C.A, C.B
+    u = integral_scale(A.denominator, B.denominator)
+    return A.numerator * u**4 // A.denominator, B.numerator * u**6 // B.denominator, u
 
 
 def point_to_integral(P: Point, u: int) -> Point:
@@ -282,9 +282,9 @@ class CurveFp:
 
 
 def _bad_part(C: Curve) -> int:
-    """2 den(A) den(B) num(disc): an odd prime not dividing it leaves C
-    p-integral with good reduction at p."""
-    return 2 * C.A.denominator * C.B.denominator * C.discriminant.numerator
+    """2 den(A) den(B) singular_form, whose odd primes are those of 2 den(A) den(B)
+    num(disc): an odd p not dividing it leaves C p-integral and good at p."""
+    return 2 * C.A.denominator * C.B.denominator * C.singular_form
 
 
 def _mod(q: Fraction, p: int) -> int:

@@ -517,7 +517,6 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
     require_valid(f)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    base = Curve(*f.depressed[:2])
     classes: list[int] = []
     witnesses: list[BillingWitness] = []
     for n in range(1, bound + 1):
@@ -545,7 +544,7 @@ def billing_build(p: Poly, r: int, bound: int) -> BillingCertificate:
             f"found {len(classes)} of {r} independent twist classes with x0 <= {bound}"
         )
     cert = BillingCertificate(
-        curve=base,
+        curve=f.cubic,
         r=r,
         classes=tuple(classes),
         witnesses=tuple(witnesses),

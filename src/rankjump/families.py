@@ -17,8 +17,8 @@ itself: identifier, declared generic rank, sections, validation findings,
 fiber at a parameter, witness walks, the map `point` from a walk's point
 into its fiber's integral form, and sign regions.  Its JSON fields are
 its dataclass fields.  What depends on the family alone (its identifier,
-a twist's depressed cubic and its integral model, d(t) and the integer
-forms of p and d) is computed once per family object and cached on it;
+a twist's depressed cubic and its curve, d(t) and the integer forms of p
+and d) is computed once per family object and cached on it;
 the cache is not a field, so equality, hashing and the JSON form ignore
 it.  Module-level code is what no single kind owns: the JSON codec,
 the `witness_stream` driver, and the public entry points `validate_family`,
@@ -90,7 +90,7 @@ from .rationals import (
 class TotalSpacePoint:
     """A rational point of the total space in integral form: its param, the
     integral model y^2 = x^3 + Ax + B (A, B ints) of the standardized fiber
-    there and its scale u, both as integral_model gives them, and the
+    there and its scale u, as integral_model gives them, and the
     witness on the model as `point_ints`.  The fiber `curve` and the
     `witness` on it, which a report row shows, are read back from these
     ints: (A/u^4, B/u^6) and (x/u^2, y/u^3)."""
@@ -102,10 +102,10 @@ class TotalSpacePoint:
     model_witness: tuple[int, int, int, int]
 
     @classmethod
-    def on_model(cls, param: Fraction, Cm: Curve, u: int, P: Point) -> "TotalSpacePoint":
-        """P on the fiber at param, given the fiber's integral model Cm and
-        scale u (integral_model)."""
-        return cls(param, Cm.A.numerator, Cm.B.numerator, u, point_ints(point_to_integral(P, u)))
+    def on_model(cls, param: Fraction, A: int, B: int, u: int, P: Point) -> "TotalSpacePoint":
+        """P on the fiber at param, given the fiber's integral model and
+        scale (A, B, u) = integral_model(fiber)."""
+        return cls(param, A, B, u, point_ints(point_to_integral(P, u)))
 
     @property
     def curve(self) -> Curve:
@@ -206,13 +206,13 @@ class Family:
             except DegenerateFiber:
                 stats.degenerate_skipped += 1
                 continue
-            Cm, u = integral_model(C)
+            model = integral_model(C)
             A, B = C.A, C.B
             for X0 in rats:
                 stats.enumerated += 1
                 Y0 = is_rational_square(X0**3 + A * X0 + B)
                 if Y0 is not None:
-                    yield TotalSpacePoint.on_model(lam, Cm, u, Point(X0, Y0))
+                    yield TotalSpacePoint.on_model(lam, *model, Point(X0, Y0))
 
 
 class _Twist(Family):
@@ -229,12 +229,11 @@ class _Twist(Family):
         return int_form(self.p), int_form(self.d)
 
     @cached_property
-    def cubic_model(self) -> tuple[int, int, int]:
-        """(A0, B0, u0): the depressed cubic's integral model and its scale
-        (integral_model)."""
+    def cubic(self) -> Curve:
+        """y^2 = x^3 + Ax + B for the depressed cubic; SingularCurve for an
+        inseparable p."""
         A, B, _ = self.depressed
-        Cm, u0 = integral_model(Curve(A, B))
-        return Cm.A.numerator, Cm.B.numerator, u0
+        return Curve(A, B)
 
     def fiber(self, lam: Fraction) -> Curve:
         d0 = poly_eval(self.d, lam)
@@ -248,15 +247,15 @@ class _Twist(Family):
 
     def fiber_model(self, d0: Fraction) -> tuple[int, int, int]:
         """(A, B, u): the integral model of the fiber where d(t) = d0 = a/b
-        and its scale, as integral_model gives them, from ints.  The fiber
-        is y^2 = x^3 + A0 a^2/(u0^4 b^2) x + B0 a^3/(u0^6 b^3), and u is
-        integral_scale of its two reduced denominators."""
+        and its scale, as integral_model gives them, from ints: the fiber is
+        y^2 = x^3 + (A a^2/b^2) x + B a^3/b^3 for the cubic's A and B, and u
+        is integral_scale of the reduced denominators of its coefficients."""
         if d0 == 0:
             raise DegenerateFiber("d(t) = 0")
-        A0, B0, u0 = self.cubic_model
+        A, B = self.cubic.A, self.cubic.B
         a, b = d0.numerator, d0.denominator
-        nA, dA = A0 * a * a, u0**4 * b * b
-        nB, dB = B0 * a**3, u0**6 * b**3
+        nA, dA = A.numerator * a * a, A.denominator * b * b
+        nB, dB = B.numerator * a**3, B.denominator * b**3
         u = integral_scale(dA // gcd(nA, dA), dB // gcd(nB, dB))
         return nA * u**4 // dA, nB * u**6 // dB, u
 

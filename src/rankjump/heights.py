@@ -149,8 +149,8 @@ class HeightModel:
 
     def __init__(self, A: int, B: int):
         self.a, self.b = A, B
-        self.t = 4 * abs(4 * A**3 + 27 * B * B)
         self.curve = curve(A, B)
+        self.t = 4 * abs(self.curve.singular_form)
         S = max(sum(map(abs, f + g)) for f, g in (v7_cofactors(A, B), u7_cofactors(A, B)))
         c1 = max(1 + 2 * abs(A) + 8 * abs(B) + A * A, 4 * (1 + abs(A) + abs(B)))
         self.alpha = ln_int_interval(S).hi
@@ -178,9 +178,9 @@ class HeightModel:
 
 
 def model_of(C: Curve) -> tuple[HeightModel, int]:
-    """C's integral model (x, y) -> (u^2 x, u^3 y) as a HeightModel, and u."""
-    Cm, u = integral_model(C)
-    return HeightModel(Cm.A.numerator, Cm.B.numerator), u
+    """C's integral model (A, B, u) = integral_model(C) as a HeightModel, and u."""
+    A, B, u = integral_model(C)
+    return HeightModel(A, B), u
 
 
 def depth_for_tolerance(alpha: Decimal, beta: Decimal, tol: Decimal) -> int:

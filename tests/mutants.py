@@ -128,6 +128,51 @@ MUTANTS = (
         "pass",
         ["tests/test_engine.py::test_revalidate_rejects_dependent_classes"],
     ),
+    # A memo hit read as non-torsion.
+    (
+        "engine.py",
+        "known = memo[key] = is_torsion(curve(A, B), point_from_ints(P))\n    return known",
+        "known = memo[key] = is_torsion(curve(A, B), point_from_ints(P))\n"
+        "        return known\n    return False",
+        ["tests/test_engine.py::test_a_memo_hit_keeps_its_torsion_answer"],
+    ),
+    # A twist admitted with an inseparable p.
+    (
+        "families.py",
+        "elif not is_squarefree(self.p):",
+        "elif False:",
+        [
+            "tests/test_families.py::test_validate_rejections",
+            "tests/test_engine.py::test_scan_refuses_what_validate_rejects",
+        ],
+    ),
+    # One integer form per curve fact: the bad part without den(B), the
+    # singular form cleared by den(B)^3, and a fiber model that pairs B's
+    # numerator with A's denominator.
+    (
+        "curves.py",
+        "return 2 * C.A.denominator * C.B.denominator * C.singular_form",
+        "return 2 * C.A.denominator * C.singular_form",
+        ["tests/test_curves.py::test_screen_primes_follow_the_fraction_bad_part"],
+    ),
+    (
+        "curves.py",
+        "4 * A.numerator**3 * B.denominator**2",
+        "4 * A.numerator**3 * B.denominator**3",
+        [
+            "tests/test_curves.py::test_curve_construction",
+            "tests/test_curves.py::test_screen_primes_follow_the_fraction_bad_part",
+        ],
+    ),
+    (
+        "families.py",
+        "nB, dB = B.numerator * a**3, B.denominator * b**3",
+        "nB, dB = B.numerator * a**3, A.denominator * b**3",
+        [
+            "tests/test_families.py::test_twist_walks_emit_each_fibers_integral_model",
+            "tests/test_families.py::test_fiber_model_is_the_fibers_integral_model",
+        ],
+    ),
 )
 
 

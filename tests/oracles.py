@@ -169,11 +169,10 @@ def twist_point(f, lam, x0, y0):
 
 def small_good_primes(C, count, start):
     """The first count odd primes p >= start at which C itself has good
-    reduction: p divides neither den(A), den(B) nor the numerator of
-    4A^3 + 27B^2.  curves.good_primes starts at the torsion screen's prime;
-    this reaches the small primes, where a reduction is small enough to
-    enumerate."""
-    bad = C.A.denominator * C.B.denominator * (4 * C.A**3 + 27 * C.B**2).numerator
+    reduction: p does not divide reference_bad_part(C.A, C.B).
+    curves.good_primes starts at the torsion screen's prime; this reaches
+    the small primes, where a reduction is small enough to enumerate."""
+    bad = reference_bad_part(C.A, C.B)
     out = []
     p = max(3, start | 1)
     while len(out) < count:
@@ -181,6 +180,19 @@ def small_good_primes(C, count, start):
             out.append(p)
         p += 2
     return out
+
+
+def reference_discriminant(A, B) -> Fraction:
+    """-16(4A^3 + 27B^2), the discriminant of y^2 = x^3 + Ax + B, in Fractions."""
+    return -16 * (4 * Fraction(A) ** 3 + 27 * Fraction(B) ** 2)
+
+
+def reference_bad_part(A, B) -> int:
+    """2 den(A) den(B) num(disc), the library's earlier bad-prime rule with
+    the discriminant in Fractions: an odd prime not dividing it leaves
+    y^2 = x^3 + Ax + B p-integral with good reduction at p."""
+    A, B = Fraction(A), Fraction(B)
+    return 2 * A.denominator * B.denominator * reference_discriminant(A, B).numerator
 
 
 def perfect_square_root(n: int):

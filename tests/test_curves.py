@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import oracle_add, oracle_mul, small_good_primes
+from oracles import oracle_add, oracle_mul, reference_discriminant, small_good_primes
 from rankjump.curves import (
     Curve,
     INFINITY,
@@ -34,7 +34,7 @@ from rankjump.rationals import format_rational
 
 def test_curve_construction():
     C = curve(-1, 0)
-    assert C.discriminant == 64
+    assert reference_discriminant(C.A, C.B) == -16 * C.singular_form == 64
     with pytest.raises(SingularCurve):
         curve(0, 0)
     with pytest.raises(SingularCurve, match=r"^4A\^3\+27B\^2 = 0 for A=-3/4, B=1/4$"):
@@ -49,15 +49,46 @@ def _singular_pairs():
 
 @given(st.one_of(st.tuples(st.fractions(), st.fractions()), _singular_pairs()))
 def test_singularity_check_agrees_with_discriminant(AB):
-    # Curve tests 4A^3 + 27B^2 = 0 in integers; the discriminant property
-    # computes it in Fractions.
+    # Curve tests 4A^3 + 27B^2 = 0 in integers; the oracle computes the
+    # discriminant in Fractions.
     A, B = AB
-    if Curve.discriminant.fget(SimpleNamespace(A=A, B=B)) != 0:
+    if reference_discriminant(A, B) != 0:
         Curve(A, B)  # no SingularCurve
         return
     with pytest.raises(SingularCurve) as exc:
         Curve(A, B)
     assert str(exc.value) == f"4A^3+27B^2 = 0 for A={format_rational(A)}, B={format_rational(B)}"
+
+
+# Rationals whose denominators come from primes below the screen and from
+# its first two primes, 1009 and 1013, which also divide some numerators.
+_SCREEN_RATIONALS = st.builds(
+    lambda n, m, pes: Fraction(n * m, prod(p**e for p, e in pes)),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from((1, 1009, 1013)),
+    st.lists(st.tuples(st.sampled_from((2, 3, 5, 1009, 1013)), st.integers(1, 7)), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_SCREEN_RATIONALS, _SCREEN_RATIONALS),
+        _SCREEN_RATIONALS.map(lambda s: (-3 * s * s, 2 * s**3)),  # singular
+    )
+)
+@example((Fraction(1, 2), Fraction(1, 1009)))  # 1009 in den(B) alone
+@example((Fraction(1, 1013), Fraction(1, 2)))  # 1013 in den(A) alone
+@example((Fraction(-3, 4), Fraction(1, 4)))  # singular, B not integral
+def test_screen_primes_follow_the_fraction_bad_part(AB):
+    # The singular form is 0 exactly when 4A^3 + 27B^2 is, and the screen's
+    # primes are the first two >= 1009 that the Fraction rule leaves good.
+    A, B = AB
+    form = Curve.singular_form.fget(SimpleNamespace(A=A, B=B))
+    assert (form == 0) == (reference_discriminant(A, B) == 0)
+    if form != 0:
+        C = Curve(A, B)
+        assert good_primes(C, 2) == small_good_primes(C, 2, 1009)
 
 
 def test_add_examples():
@@ -90,13 +121,13 @@ def test_mul_examples():
 
 
 def test_integral_model_examples():
-    Ci, u = integral_model(curve(Fraction(-1, 4), 0))
-    assert (Ci.A, Ci.B, u) == (-4, 0, 2)
-    C = curve(3, -7)
-    Ci, u = integral_model(C)
-    assert Ci is C and u == 1  # an integral curve is its own model, not a copy
-    Ci, u = integral_model(curve(0, Fraction(1, 27)))
-    assert (Ci.A, Ci.B, u) == (0, 27, 3)
+    for A, B, model in (
+        (Fraction(-1, 4), 0, (-4, 0, 2)),
+        (3, -7, (3, -7, 1)),  # an integral curve is its own model
+        (0, Fraction(1, 27), (0, 27, 3)),
+    ):
+        got = integral_model(curve(A, B))
+        assert got == model and all(type(n) is int for n in got)
 
 
 # Denominators from primes below and above the trial-division bound of
@@ -114,8 +145,8 @@ _DENOMINATORS = st.lists(
 def test_integral_model_takes_the_least_scale(nA, dA, nB, dB):
     A, B = Fraction(nA, dA), Fraction(nB, dB)
     assume(4 * A**3 + 27 * B**2 != 0)
-    Cm, u = integral_model(curve(A, B))
-    assert Cm == curve(A * u**4, B * u**6)
+    Am, Bm, u = integral_model(curve(A, B))
+    assert (Am, Bm) == (A * u**4, B * u**6)
     assert (A * u**4).denominator == (B * u**6).denominator == 1
     rest = u
     for p in _SCALE_PRIMES:
@@ -129,11 +160,11 @@ def test_integral_model_takes_the_least_scale(nA, dA, nB, dB):
 
 def test_integral_model_point_map():
     C = curve(Fraction(-1, 4), Fraction(1, 64))
-    Ci, u = integral_model(C)
+    A, B, u = integral_model(C)
     P = point(Fraction(1, 2), Fraction(1, 8))  # 1/64 = 1/8 - 1/8 + 1/64 ... check below
     if on_curve(C, P):
         Pi = point_to_integral(P, u)
-        assert on_curve(Ci, Pi)
+        assert on_curve(curve(A, B), Pi)
         assert point(Pi.x / u**2, Pi.y / u**3) == P
 
 
@@ -381,15 +412,16 @@ def _non_integral_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_torsion_order_is_invariant_under_the_integral_model(case):
     C, P = case
-    Cm, u = integral_model(C)
-    assert torsion_order(Cm, point_to_integral(P, u)) == torsion_order(C, P)
+    A, B, u = integral_model(C)
+    assert torsion_order(curve(A, B), point_to_integral(P, u)) == torsion_order(C, P)
 
 
 def test_integral_model_moves_the_screen_prime_and_keeps_the_order():
     orders = set()
     for C, P in _TORSION_POINTS[::2] + [(curve(-36, 0), point(12, 36))]:
         C, P = _rescale(C, P, Fraction(1, 1009))
-        Cm, u = integral_model(C)
+        A, B, u = integral_model(C)
+        Cm = curve(A, B)
         assert good_primes(C, 1) != good_primes(Cm, 1)
         want = torsion_order(Cm, point_to_integral(P, u))
         assert torsion_order(C, P) == want

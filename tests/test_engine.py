@@ -532,7 +532,8 @@ def test_scan_computes_each_gram_key_once(monkeypatch):
 def test_twist_scans_map_no_candidate_to_its_integral_model(monkeypatch):
     # The twist walks hand each candidate over in integral form: the engine
     # maps no point to a model (only sections would need it), and the walks
-    # take one integral model per family, the depressed cubic's.
+    # take no integral model: each fiber's comes from the depressed cubic's
+    # reduced coefficients and d0 (fiber_model).
     mapped = _counting(monkeypatch, "point_to_integral")
     models = _counting(monkeypatch, "integral_model", families)
     for f, bound, mode in (
@@ -541,7 +542,7 @@ def test_twist_scans_map_no_candidate_to_its_integral_model(monkeypatch):
     ):
         models.clear()
         assert scan(f, bound, mode).certified > 0
-        assert not mapped and len(models) == 1
+        assert not mapped and not models
 
 
 def _isomorphic_candidates() -> list:
@@ -560,8 +561,8 @@ def test_isomorphic_candidates_share_the_gram_but_keep_their_own_points():
     ws = _isomorphic_candidates()
     memo: dict = {}
     a, b = (certify_fiber(f, w, memo=memo) for w in ws)
-    assert integral_model(ws[0].curve) == (curve(-36, 0), 1)
-    assert integral_model(ws[1].curve) == (curve(-36, 0), 2)
+    assert integral_model(ws[0].curve) == (-36, 0, 1)
+    assert integral_model(ws[1].curve) == (-36, 0, 2)
     assert len(memo) == 3  # one torsion answer, one Gram, one height model
     assert [a, b] == [certify_fiber(f, w) for w in ws]  # no memo
     assert a.gram.entries == b.gram.entries and a.gram.heights == b.gram.heights
@@ -570,6 +571,23 @@ def test_isomorphic_candidates_share_the_gram_but_keep_their_own_points():
     assert (ja["witness"], ja["gram"]["points"], ja["curve"]) == ("12,36", ["12,36"], {"A": "-36", "B": "0"})
     assert (jb["witness"], jb["gram"]["points"], jb["curve"]) == ("3,9/2", ["3,9/2"], {"A": "-9/4", "B": "0"})
     assert ja["param"] == "6" and jb["param"] == "3/2"
+
+
+def test_a_memo_hit_keeps_its_torsion_answer():
+    # Both candidates on x^3 + 1 have the model y^2 = x^3 + 1 and the model
+    # witness (0, 1), of order 3.  The second reads its torsion status from
+    # the memo the first filled, and it must still read torsion.
+    f = TwistLinear(p=X3_PLUS_1)
+    ws = [
+        f.point(t, t, f.fiber_model(t), Fraction(0), Fraction(y0), Fraction(1))
+        for t, y0 in ((Fraction(1), 1), (Fraction(1, 4), 2))
+    ]
+    assert {(w.A, w.B, w.model_witness) for w in ws} == {(0, 1, (0, 1, 1, 1))}
+    assert ws[0].curve != ws[1].curve
+    memo: dict = {}
+    certs = [certify_fiber(f, w, memo=memo) for w in ws]
+    assert [c.status for c in certs] == ["torsion-witness"] * 2
+    assert certs == [certify_fiber(f, w) for w in ws]  # no memo
 
 
 def test_memo_hits_never_skip_the_on_curve_check():
@@ -621,7 +639,7 @@ def test_gram_memo_keeps_tolerances_and_points_apart(monkeypatch):
     assert len(computed) == len(memo) - 1 == 2  # and one height model
     C = curve(Fraction(-16, 2**4), Fraction(16, 2**6))
     Q = point(0, Fraction(4, 8))
-    assert integral_model(C) == (BENCH, 2)
+    assert integral_model(C) == (BENCH.A, BENCH.B, 2)
     single = engine._gram(memo, -16, 16, {point_ints(BENCH_P): BENCH_P}, tols[0])
     g = engine._gram(memo, -16, 16, {point_ints(point_to_integral(Q, 2)): Q}, tols[0])
     assert len(computed) == len(memo) - 1 == 3  # C's Gram reuses BENCH's model

@@ -325,7 +325,7 @@ def test_twist_walks_reuse_what_they_hold(monkeypatch, mode):
     pts, stats = witness_stream(f, 10, mode)
     n_rats = len(list(iter_rationals(10)))
     assert pts and n_rats == 127
-    # no fiber is built: the one curve is the depressed cubic, for its model
+    # no fiber is built: the one curve is the depressed cubic's (_Twist.cubic)
     assert curves == [(0, 1)]
     if mode == "fiber-first":
         # p(x0) once per x0, d(lam) once per lam, one fiber model per lam
@@ -368,11 +368,10 @@ def test_twist_walks_emit_each_fibers_integral_model(f, mode):
     scales = set()
     for w in pts:
         C = fiber_at(f, w.param)
-        Cm, u = integral_model(C)
-        assert (w.A, w.B, w.u) == (Cm.A, Cm.B, u)
+        assert (w.A, w.B, w.u) == integral_model(C)
         assert w.curve == C and on_curve(C, w.witness)
-        assert w.model_witness == point_ints(point_to_integral(w.witness, u))
-        scales.add(u)
+        assert w.model_witness == point_ints(point_to_integral(w.witness, w.u))
+        scales.add(w.u)
     assert len(scales) > 1
 
 
@@ -396,15 +395,14 @@ def test_fiber_model_is_the_fibers_integral_model(f, sign, a, c, b):
     # y^2 = x^3 + A d0^2 x + B d0^3 share one scale rule; they must agree.
     d0 = Fraction(sign * a * c, b)
     A, B, _ = f.depressed
-    Cm, u = integral_model(Curve(A * d0 * d0, B * d0**3))
-    assert f.fiber_model(d0) == (Cm.A, Cm.B, u)
+    assert f.fiber_model(d0) == integral_model(Curve(A * d0 * d0, B * d0**3))
 
 
 @pytest.mark.parametrize("mode", ["fiber-first", "total-first"])
 @pytest.mark.parametrize("p", [poly([0, 0, 0, 1]), poly([2, -3, 0, 1])], ids=["x^3", "(x-1)^2(x+2)"])
 def test_twist_walks_check_the_cubic_in_place_of_each_fiber(p, mode):
     # The fiber at d0 != 0 has discriminant d0^6 times the depressed cubic's,
-    # so the walks build no fiber to test: the cubic's own model, taken before
+    # so the walks build no fiber to test: the cubic's curve, built before
     # any point is emitted, refuses an inseparable p (which validate rejects).
     with pytest.raises(SingularCurve):
         witness_stream(TwistLinear(p=p), 3, mode)
