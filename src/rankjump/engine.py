@@ -21,11 +21,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .curves import (
+    INFINITY,
     Curve,
     Point,
     curve,
+    integral_model,
     is_torsion,
-    neg,
     on_curve,
     point_from_ints,
     point_ints,
@@ -152,10 +153,12 @@ def certify_fiber(
     on the candidate's fiber w.curve.
 
     A torsion witness never makes a jump: only the non-torsion sections are
-    certified.  Otherwise the full Gram certificate is attempted and, on
-    failure, retried on the witness singleton (a partial certificate beats
-    none); a set with P = -Q has determinant exactly 0, so then only the
-    singleton is tried.  Gram refinement may go down to tol/10; it stops at
+    certified, each once, however many sections meet at it.  So the point at
+    infinity O as the witness certifies the live sections alone (that is
+    neron_check's use).  Otherwise the full Gram certificate is attempted
+    and, on failure, retried on the witness singleton (a partial certificate
+    beats none); a set with P = -Q has determinant exactly 0, so then only
+    the singleton is tried.  Gram refinement may go down to tol/10; it stops at
     the first positive determinant, so most independent sets resolve well
     above that depth.
 
@@ -190,8 +193,9 @@ def certify_fiber(
     # The points to certify, keyed by their point_ints on the model.  Sections
     # may meet at this parameter; a bound from distinct points is sound.
     keyed = dict(live + ([] if torsion else [(w.model_witness, W)]))
-    pts = list(keyed.values())
-    if not torsion and any(neg(P) in pts[i + 1 :] for i, P in enumerate(pts)):
+    # -P's point_ints flip y's numerator.  No point matches itself: y = 0
+    # makes a point 2-torsion, and torsion points are never keyed.
+    if not torsion and any((xn, xd, -yn, yd) in keyed for xn, xd, yn, yd in keyed):
         keyed = {w.model_witness: W}
     gram = _gram(memo, A, B, keyed, gram_tol) if keyed else None
     if not torsion and not gram.certified and len(keyed) > 1:
@@ -382,13 +386,22 @@ class NeronCheckReport:
 
 
 def neron_check(f: Family, bound: int, tol=DEFAULT_SCAN_TOL) -> NeronCheckReport:
+    """Are the declared sections certified independent at each param of
+    height <= bound with a smooth fiber and no section pole?
+
+    Each fiber goes through certify_fiber with O as the witness, one memo
+    for the whole check.  It counts as certified independent when the
+    certified bound is the section count (so none is torsion and no two
+    meet); otherwise small_relation_search (|n_i| <= 12) tells
+    exact_dependent from inconclusive.
+    """
     if not f.sections:
         raise ValueError("neron_check needs a Weierstrass pencil with >= 1 section")
     require_valid(f)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     tol_d = tolerance(tol)
-    gram_tol = _gram_tol(tol_d)
+    memo: dict = {}
     certified = 0
     inconclusive: list[Fraction] = []
     dependent: list[tuple[Fraction, tuple[int, ...]]] = []
@@ -396,12 +409,13 @@ def neron_check(f: Family, bound: int, tol=DEFAULT_SCAN_TOL) -> NeronCheckReport
     for lam in iter_rationals(bound):
         try:
             C = fiber_at(f, lam)
-            pts = f.sections_at(lam, C)
+            w = TotalSpacePoint.on_model(lam, *integral_model(C), INFINITY)
+            cert = certify_fiber(f, w, tol_d, memo)
         except (DegenerateFiber, PoleAtPoint):
             continue
         sampled += 1
-        # Sections that meet at lam are dependent; only the relation search applies.
-        if len(set(pts)) == len(pts) and gram_certify(C, pts, gram_tol).certified:
+        pts = cert.section_points
+        if cert.certified_rank_lb == len(pts):
             certified += 1
             continue
         rel = small_relation_search(C, pts, 12)

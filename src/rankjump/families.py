@@ -518,7 +518,8 @@ class WeierstrassPencil(Family):
         if disc.is_zero():
             out.append(_error("pencil-singular", "4A^3 + 27B^2 = 0 identically in Q(lam)"))
         for i, (X, Y) in enumerate(self.sections):
-            if not (Y * Y - (X * X * X + self.A * X + self.B)).is_zero():
+            # Both sides are normalized RatFuncs, whose form is unique.
+            if Y * Y != X * X * X + self.A * X + self.B:
                 out.append(
                     _error(
                         "section-invalid",

@@ -83,9 +83,9 @@ def _estimate(iv: Interval) -> HeightEstimate:
     return HeightEstimate(value=iv.mid, error_bound=iv.half_width)
 
 
-def u7_cofactors(A: int, B: int) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
-    """Cubic cofactors (f2, g2) of the u^7 identity, ascending in v-degree."""
-    D = 4 * A**3 + 27 * B**2
+def u7_cofactors(A: int, B: int, D: int) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
+    """Cubic cofactors (f2, g2) of the u^7 identity for D = 4A^3 + 27B^2,
+    ascending in v-degree."""
     f2 = (4 * D, -4 * A * A * B, 12 * A**4 + 88 * A * B * B, 12 * A**3 * B + 96 * B**3)
     g2 = (
         A * A * B,
@@ -150,8 +150,9 @@ class HeightModel:
     def __init__(self, A: int, B: int):
         self.a, self.b = A, B
         self.curve = curve(A, B)
-        self.t = 4 * abs(self.curve.singular_form)
-        S = max(sum(map(abs, f + g)) for f, g in (v7_cofactors(A, B), u7_cofactors(A, B)))
+        D = self.curve.singular_form
+        self.t = 4 * abs(D)
+        S = max(sum(map(abs, f + g)) for f, g in (v7_cofactors(A, B), u7_cofactors(A, B, D)))
         c1 = max(1 + 2 * abs(A) + 8 * abs(B) + A * A, 4 * (1 + abs(A) + abs(B)))
         self.alpha = ln_int_interval(S).hi
         self.beta = ln_int_interval(c1).hi
@@ -206,16 +207,6 @@ def tolerance(tol) -> Decimal:
     if tol_d is None or not tol_d.is_finite() or tol_d <= 0:
         raise ValueError(f"tol must be a finite decimal > 0, got {tol!r}")
     return tol_d
-
-
-def height_interval(C: Curve, P: Point, depth: int) -> Interval:
-    """Enclosure of hhat(P) at a fixed doubling depth, on any model.
-
-    Torsion points (including infinity) get the exact interval [0, 0].
-    """
-    require_on_curve(C, P)
-    m, u = model_of(C)
-    return m.enclose(point_to_integral(P, u), depth)
 
 
 def canonical_height(C: Curve, P: Point, tol=DEFAULT_HEIGHT_TOL) -> HeightEstimate:
@@ -286,7 +277,8 @@ def gram_certify(
     model they are then mapped to C's integral model (model_of), where the
     heights are refined; sums are taken there too.  The map preserves
     canonical heights, torsion and the group law, so the outcome is the one
-    C would give.
+    C would give.  This curve-level form is the library API and the tests'
+    reference path; the engine calls it only with a model (engine._gram).
 
     A caller may instead hand over C's own HeightModel (ValueError unless
     model.curve == C), and then the points are used as passed.  It vouches

@@ -39,10 +39,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     )
 
 
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, tuple(-c for c in q))
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
@@ -201,12 +197,6 @@ class RatFunc:
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return ratfunc(
             poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den),
-        )
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return ratfunc(
-            poly_sub(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
             poly_mul(self.den, other.den),
         )
 

@@ -52,15 +52,26 @@ MUTANTS = (
     ),
     (
         "engine.py",
-        "if not torsion and any(neg(P) in pts[i + 1 :] for i, P in enumerate(pts)):",
-        "if any(neg(P) in pts[i + 1 :] for i, P in enumerate(pts)):",
+        "if not torsion and any((xn, xd, -yn, yd) in keyed for xn, xd, yn, yd in keyed):",
+        "if any((xn, xd, -yn, yd) in keyed for xn, xd, yn, yd in keyed):",
         ["tests/test_engine.py::test_torsion_witness_keeps_its_section_gram"],
     ),
     (
         "engine.py",
-        "if not torsion and any(neg(P) in pts[i + 1 :] for i, P in enumerate(pts)):",
-        "if not torsion and len(pts) > 1:",
+        "if not torsion and any((xn, xd, -yn, yd) in keyed for xn, xd, yn, yd in keyed):",
+        "if not torsion and len(keyed) > 1:",
         ["tests/test_engine.py::test_dependent_pair_goes_straight_to_the_witness"],
+    ),
+    # neron_check counting a fiber as certified independent when only some
+    # of its sections certified (two meet, or one is torsion).
+    (
+        "engine.py",
+        "if cert.certified_rank_lb == len(pts):",
+        "if cert.certified_rank_lb >= 1:",
+        [
+            "tests/test_cli.py::test_neron_sections_meeting[family0-relation0]",
+            "tests/test_engine.py::test_neron_check_matches_the_fiber_gram_reference[meeting]",
+        ],
     ),
     (
         "factorization.py",

@@ -8,8 +8,8 @@ without sharing code with them.
 The reference_* functions are the exception: they are the library's
 earlier loops, which did work that cannot change the output, so tests can
 show that skipping it changes no byte.  They call the library's public
-building blocks (the group law, the torsion screen, gram_certify) and
-import them when called.
+building blocks (the group law, the torsion screen, gram_certify, the
+relation search) and import them when called.
 
 Run as a script to print the doubling-limit height oracle for the
 benchmark point (0, 4) on y^2 = x^3 - 16x + 16 at depth 12.
@@ -342,6 +342,51 @@ def reference_scan(f, bound, mode, tol):
         certified=certified,
         inconclusive=len(ordered) - certified,
         distinct_params=len(ordered),
+    )
+
+
+def reference_neron_check(f, bound, tol):
+    """engine.neron_check before it went through certify_fiber: each fiber
+    is certified on itself by heights.gram_certify with no model, after a
+    distinctness test on its sections, and sections that meet go straight
+    to the relation search."""
+    from rankjump.curves import small_relation_search
+    from rankjump.engine import NeronCheckReport
+    from rankjump.errors import DegenerateFiber, PoleAtPoint
+    from rankjump.families import fiber_at, require_valid
+    from rankjump.heights import gram_certify, tolerance
+    from rankjump.intervals import CTX
+    from rankjump.rationals import iter_rationals
+
+    require_valid(f)
+    tol_d = tolerance(tol)
+    gram_tol = CTX.divide(tol_d, 10)
+    certified = 0
+    inconclusive, dependent = [], []
+    sampled = 0
+    for lam in iter_rationals(bound):
+        try:
+            C = fiber_at(f, lam)
+            pts = f.sections_at(lam, C)
+        except (DegenerateFiber, PoleAtPoint):
+            continue
+        sampled += 1
+        if len(set(pts)) == len(pts) and gram_certify(C, pts, gram_tol).certified:
+            certified += 1
+            continue
+        rel = small_relation_search(C, pts, 12)
+        if rel is not None:
+            dependent.append((lam, rel))
+        else:
+            inconclusive.append(lam)
+    return NeronCheckReport(
+        family_id=f.family_id,
+        bound=bound,
+        tol=CTX.to_sci_string(tol_d),
+        sampled=sampled,
+        certified_independent=certified,
+        inconclusive=tuple(inconclusive),
+        exact_dependent=tuple(dependent),
     )
 
 

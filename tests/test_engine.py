@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import reference_certify_fiber, reference_scan
+from oracles import reference_certify_fiber, reference_neron_check, reference_scan
 from rankjump import engine, families, heights
 from rankjump.cli import _json
 from rankjump.curves import (
@@ -689,6 +689,45 @@ def test_neron_check_smoke():
     # lam = 0 specializes the section to 2-torsion: exact dependence
     assert any(q == 0 for q, _ in rep.exact_dependent)
     assert rep.certified_independent >= rep.sampled - 2
+
+
+def _quadratic_a_pencil(*sections):
+    """Y^2 = X^3 + (2 + lam - lam^2) X + 1 with the given sections."""
+    return WeierstrassPencil(A=ratfunc([2, 1, -1]), B=ratfunc([1]), sections=sections)
+
+
+def _section_pencil(a: int):
+    """Y^2 = X^3 + a X + (-a lam + lam^2 - lam^3) with the section (lam, lam)."""
+    return WeierstrassPencil(
+        A=ratfunc([a]), B=ratfunc([0, -a, 1, -1]), sections=((ratfunc([0, 1]), ratfunc([0, 1])),)
+    )
+
+
+# (0, 1) and (lam, 1 + lam) meet at lam = 0; (0, 1) and (0, -1) are negatives
+# at every lam.
+MEET_0, MEET_LAM, NEG_0 = (
+    (ratfunc([0]), ratfunc([1])),
+    (ratfunc([0, 1]), ratfunc([1, 1])),
+    (ratfunc([0]), ratfunc([-1])),
+)
+
+
+@pytest.mark.parametrize(
+    "f, bound, tol",
+    [(_section_pencil(a), 4, DEFAULT_SCAN_TOL) for a in range(1, 6)]
+    + [
+        # tol = 10 leaves the Gram so shallow that some fibers stay inconclusive.
+        (PENCIL, 4, Decimal(10)),
+        (_quadratic_a_pencil(MEET_0, MEET_LAM), 4, DEFAULT_SCAN_TOL),
+        (_quadratic_a_pencil(MEET_0, NEG_0), 4, DEFAULT_SCAN_TOL),
+        (_quadratic_a_pencil(MEET_0, MEET_LAM, NEG_0), 3, DEFAULT_SCAN_TOL),
+    ],
+    ids=["a1", "a2", "a3", "a4", "a5", "tol10", "meeting", "negatives", "three"],
+)
+def test_neron_check_matches_the_fiber_gram_reference(f, bound, tol):
+    # neron_check certifies each fiber through certify_fiber with O as the
+    # witness; the reference certifies the Fraction fiber itself.
+    assert neron_check(f, bound, tol) == reference_neron_check(f, bound, tol)
 
 
 def test_neron_check_needs_sections():

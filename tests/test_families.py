@@ -71,6 +71,26 @@ def test_validate_rejections():
     assert any(f.code == "section-invalid" for f in _errors(validate_family(bad_section)))
 
 
+# (1/lam^2, (1 + lam^3)/lam^3) on Y^2 = X^3 + (2/lam) X + 1: the section's X
+# has a denominator, so both sides of the section identity are normalized
+# RatFuncs with non-trivial denominators.
+DEN_SECTION = (ratfunc([1], [0, 0, 1]), ratfunc([1, 0, 0, 1], [0, 0, 0, 1]))
+
+
+@pytest.mark.parametrize(
+    "Y, valid",
+    [
+        (DEN_SECTION[1], True),
+        (ratfunc([2, 0, 0, 1], [0, 0, 0, 1]), False),  # Y's constant term perturbed
+        (ratfunc([1, 0, 0, 1], [0, 0, 1, 1]), False),  # Y's denominator perturbed
+    ],
+)
+def test_validate_section_with_a_denominator(Y, valid):
+    f = WeierstrassPencil(A=ratfunc([2], [0, 1]), B=ratfunc([1]), sections=((DEN_SECTION[0], Y),))
+    codes = [x.code for x in _errors(validate_family(f))]
+    assert codes == ([] if valid else ["section-invalid"])
+
+
 def test_fiber_examples():
     C = fiber_at(TwistLinear(p=X3_MINUS_X), Fraction(6))
     assert (C.A, C.B) == (-36, 0)

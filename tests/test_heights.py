@@ -14,8 +14,8 @@ from rankjump.heights import (
     canonical_height,
     depth_for_tolerance,
     gram_certify,
-    height_interval,
     height_pairing,
+    model_of,
     u7_cofactors,
     v7_cofactors,
 )
@@ -42,7 +42,7 @@ def test_duplication_identities_exact():
         F = poly([A * A, -8 * B, -2 * A, 0, 1])  # F(u, 1), ascending in u
         G = poly([4 * B, 4 * A, 0, 4])  # G(u, 1)
         f1c, g1c = v7_cofactors(A, B)
-        f2c, g2c = u7_cofactors(A, B)
+        f2c, g2c = u7_cofactors(A, B, D)
         # cofactor tuples are (u^3, u^2 v, u v^2, v^3); at v = 1 reverse them
         f1 = poly(list(reversed(f1c)))
         g1 = poly(list(reversed(g1c)))
@@ -276,7 +276,8 @@ def test_gram_skip_rule_at_chain_budget(monkeypatch):
 def test_height_interval_contains_truth_across_depths():
     # enclosures at different depths must all contain the depth-12 oracle
     for depth in range(0, 9, 2):
-        iv = height_interval(BENCH, BENCH_P, depth)
+        m, u = model_of(BENCH)
+        iv = m.enclose(point_to_integral(BENCH_P, u), depth)
         assert float(iv.lo) - 1e-9 <= ORACLE_DEPTH12 <= float(iv.hi) + 1e-9
 
 

@@ -1,5 +1,5 @@
 """Golden values for the height layer: the exact enclosure strings of
-height_interval, canonical_height, height_pairing and gram_certify, and the
+HeightModel.enclose, canonical_height, height_pairing and gram_certify, and the
 exception types of their error paths.
 
 Every certificate in a scan report carries these strings, so a change to
@@ -13,10 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from rankjump.curves import INFINITY, Point, curve, mul, point
+from rankjump.curves import INFINITY, Point, curve, mul, point, point_to_integral
 from rankjump.errors import PointNotOnCurve, ToleranceUnreachable
 from rankjump.families import TwistLinear, fiber_at
-from rankjump.heights import canonical_height, gram_certify, height_interval, height_pairing
+from rankjump.heights import canonical_height, gram_certify, height_pairing, model_of
 from rankjump.polynomials import poly
 
 BENCH, BENCH_P = curve(-16, 16), point(0, 4)
@@ -79,7 +79,8 @@ def test_twist_fiber_is_non_integral():
     ],
 )
 def test_height_interval_golden(C, P, depth, want):
-    assert _iv(height_interval(C, P, depth)) == want
+    m, u = model_of(C)
+    assert _iv(m.enclose(point_to_integral(P, u), depth)) == want
 
 
 @pytest.mark.parametrize(
@@ -190,7 +191,9 @@ def test_gram_certify_golden(C, pts, tol, entries, det_lb, certified, heights):
     [
         (lambda: canonical_height(BENCH, BENCH_P, Decimal("1e-25")), ToleranceUnreachable),
         (lambda: height_pairing(CONGRUENT, CP, CQ, Decimal("1e-25")), ToleranceUnreachable),
-        (lambda: height_interval(BENCH, point(1, 2), 0), PointNotOnCurve),
+        # BENCH is its own integral model (u = 1); the torsion screen of
+        # HeightModel.chain checks the point on it.
+        (lambda: model_of(BENCH)[0].enclose(point(1, 2), 0), PointNotOnCurve),
         (lambda: canonical_height(BENCH, point(1, 2), Decimal("1e-4")), PointNotOnCurve),
         (lambda: height_pairing(CONGRUENT, point(1, 2), CQ, Decimal("1e-4")), PointNotOnCurve),
         (lambda: height_pairing(TWIST, TP, point(1, 2), Decimal("1e-4")), PointNotOnCurve),
