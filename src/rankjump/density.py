@@ -6,9 +6,10 @@ real histograms, residue coverage mod p^k, and the sign-region report for
 degree-2 twists.
 
 One binning rule, in exact rational arithmetic: q lies in bin
-i = floor((q - lo) * bins / (hi - lo)) of [lo, hi) when lo <= q < hi.
-Only `real_histogram` applies it; the sign-region report reads its bin
-hits off the default-grid histogram.
+i = (q - lo) // width, one floor with width = (hi - lo) / bins, when the
+bin's range test 0 <= i < bins (that is, lo <= q < hi) holds.  Only
+`real_histogram` applies it; the sign-region report reads its bin hits
+off the default-grid histogram.
 """
 
 from __future__ import annotations
@@ -60,25 +61,24 @@ class Histogram:
 def real_histogram(
     params: Sequence[Fraction], lo: Fraction, hi: Fraction, bins: int
 ) -> Histogram:
-    """Counts per equal-width bin over [lo, hi); exact rational binning."""
+    """Counts per equal-width bin of [lo, hi): one floor i = (q - lo) // width, in range iff 0 <= i < bins."""
     if not lo < hi:
         raise ValueError("need lo < hi")
     if bins < 1:
         raise ValueError("need bins >= 1")
     lo, hi = Fraction(lo), Fraction(hi)
+    width = (hi - lo) / bins
     counts = [0] * bins
-    in_range = 0
     for q in params:
-        if lo <= q < hi:
-            t = (q - lo) * bins / (hi - lo)
-            counts[t.numerator // t.denominator] += 1
-            in_range += 1
+        i = (q - lo) // width
+        if 0 <= i < bins:
+            counts[i] += 1
     nonempty = sum(1 for c in counts if c)
     return Histogram(
         lo=lo,
         hi=hi,
         counts=tuple(counts),
-        in_range=in_range,
+        in_range=sum(counts),
         coverage=Fraction(nonempty, bins),
     )
 

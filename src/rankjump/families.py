@@ -351,12 +351,12 @@ class _Twist(Family):
         pf = self.forms[0]
         for x0 in rats:
             N, D = int_form_eval(pf, x0)
+            stats.enumerated += len(ys)
+            if N == 0:  # a root of p: no fiber for any y0
+                stats.degenerate_skipped += len(ys)
+                continue
             v = Fraction(N, D)
             for y0, n2, d2 in ys:
-                stats.enumerated += 1
-                if N == 0:
-                    stats.degenerate_skipped += 1
-                    continue
                 d0 = Fraction(N * d2, D * n2)
                 ts = self._params(d0)
                 if not ts:

@@ -23,9 +23,11 @@ def rat_height(q: Fraction) -> int:
 def iter_rationals(max_height: int) -> Iterator[Fraction]:
     """Yield every reduced u/v with max(|u|, v) <= max_height exactly once.
 
-    Order: ascending height, then ascending numeric value within a height
-    block.  The sequence is deterministic, so scans built on it are
-    byte-reproducible.
+    Order: ascending height, then ascending value within a height block,
+    built in order: for S the v in 1..h-1 coprime to h, |h/v| > 1 > |u/h|,
+    so block h ascends as -h/v (v in S ascending), -u/h (u in S descending),
+    then their negations reversed.  The sequence is deterministic, so scans
+    built on it are byte-reproducible.
     """
     if max_height < 1:
         raise ValueError("max_height must be >= 1")
@@ -33,17 +35,10 @@ def iter_rationals(max_height: int) -> Iterator[Fraction]:
     yield Fraction(0)
     yield Fraction(1)
     for h in range(2, max_height + 1):
-        block = []
-        for v in range(1, h):
-            if gcd(h, v) == 1:
-                block.append(Fraction(h, v))
-                block.append(Fraction(-h, v))
-        for u in range(1, h):
-            if gcd(u, h) == 1:
-                block.append(Fraction(u, h))
-                block.append(Fraction(-u, h))
-        block.sort()
-        yield from block
+        coprime = [v for v in range(1, h) if gcd(h, v) == 1]
+        negative = [Fraction(-h, v) for v in coprime] + [Fraction(-u, h) for u in reversed(coprime)]
+        yield from negative
+        yield from (-q for q in reversed(negative))
 
 
 def is_rational_square(q: Fraction) -> Optional[Fraction]:

@@ -184,6 +184,30 @@ MUTANTS = (
             "tests/test_families.py::test_fiber_model_is_the_fibers_integral_model",
         ],
     ),
+    # The parameter line by formula: a height block's positive half read
+    # forward, a param at hi counted in a bin, and a root of p counted as
+    # one degenerate pair instead of one per y0.
+    (
+        "rationals.py",
+        "yield from (-q for q in reversed(negative))",
+        "yield from (-q for q in negative)",
+        [
+            "tests/test_rationals.py::test_enumerate_small",
+            "tests/test_rationals.py::test_enumerate_matches_the_set_and_sort_reference",
+        ],
+    ),
+    (
+        "density.py",
+        "if 0 <= i < bins:",
+        "if 0 <= i <= bins:",
+        ["tests/test_density.py::test_histogram_bin_edges_exact"],
+    ),
+    (
+        "families.py",
+        "stats.degenerate_skipped += len(ys)",
+        "stats.degenerate_skipped += 1",
+        ["tests/test_families.py::test_twist_total_first_matches_double_loop"],
+    ),
 )
 
 

@@ -187,6 +187,19 @@ def reference_discriminant(A, B) -> Fraction:
     return -16 * (4 * Fraction(A) ** 3 + 27 * Fraction(B) ** 2)
 
 
+def reference_histogram(params, lo: Fraction, hi: Fraction, bins: int):
+    """The earlier `real_histogram` rule: test lo <= q < hi, then floor
+    (q - lo) * bins / (hi - lo) as a Fraction.  Returns (counts, in_range)."""
+    counts = [0] * bins
+    in_range = 0
+    for q in params:
+        if lo <= q < hi:
+            t = (q - lo) * bins / (hi - lo)
+            counts[t.numerator // t.denominator] += 1
+            in_range += 1
+    return tuple(counts), in_range
+
+
 def reference_bad_part(A, B) -> int:
     """2 den(A) den(B) num(disc), the library's earlier bad-prime rule with
     the discriminant in Fractions: an odd prime not dividing it leaves

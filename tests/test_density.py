@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import reference_histogram
 from rankjump import density
 from rankjump.density import (
     DEFAULT_BINS,
@@ -39,6 +40,21 @@ def test_histogram_bin_edges_exact():
     h = real_histogram([Fraction(0), Fraction(1, 2), Fraction(1)], Fraction(0), Fraction(1), 2)
     assert h.counts == (1, 1)  # 1 is outside [0, 1)
     assert h.in_range == 2
+
+
+@given(
+    st.lists(st.fractions(-20, 20, max_denominator=12), min_size=2, max_size=2, unique=True),
+    st.integers(1, 25),
+    st.lists(st.fractions(-25, 25, max_denominator=60), max_size=30),
+)
+def test_histogram_matches_the_fraction_reference(ends, bins, drawn):
+    # lo, hi, every interior edge, and the points just either side of each
+    lo, hi = sorted(ends)
+    edges = [lo + i * (hi - lo) / bins for i in range(bins + 1)]
+    eps = Fraction(1, 10**9)
+    params = drawn + edges + [e - eps for e in edges] + [e + eps for e in edges]
+    h = real_histogram(params, lo, hi, bins)
+    assert (h.counts, h.in_range) == reference_histogram(params, lo, hi, bins)
 
 
 def test_histogram_bad_args():

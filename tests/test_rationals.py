@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_force_rational_count
+from oracles import _rationals as reference_rationals, brute_force_rational_count
 from rankjump.rationals import (
     format_rational,
     int_pair_is_square,
@@ -53,6 +53,12 @@ def test_enumerate_unique_sorted_by_height():
     for a, b in zip(seq, seq[1:]):
         if rat_height(a) == rat_height(b):
             assert a < b
+
+
+def test_enumerate_matches_the_set_and_sort_reference():
+    # every block built in order equals the sorted set of its height
+    for H in range(1, 41):
+        assert _rationals(H) == reference_rationals(H)
 
 
 def test_enumerate_cardinality_vs_brute_force_all_bounds():
