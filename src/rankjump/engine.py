@@ -114,11 +114,6 @@ _CSV_TABLE = (
 CSV_COLUMNS = [name for name, _ in _CSV_TABLE]
 
 
-def _gram_tol(tol) -> Decimal:
-    """The depth Gram refinement may go down to for scan tolerance tol."""
-    return CTX.divide(tolerance(tol), Decimal(10))
-
-
 def _torsion(memo: dict, A: int, B: int, P: tuple[int, int, int, int]) -> bool:
     """Whether the point P (point_ints) on the integral model
     y^2 = x^3 + Ax + B is torsion: is_torsion there, once per memo key
@@ -153,14 +148,18 @@ def certify_fiber(
     on the candidate's fiber w.curve.
 
     A torsion witness never makes a jump: only the non-torsion sections are
-    certified, each once, however many sections meet at it.  So the point at
-    infinity O as the witness certifies the live sections alone (that is
-    neron_check's use).  Otherwise the full Gram certificate is attempted
-    and, on failure, retried on the witness singleton (a partial certificate
-    beats none); a set with P = -Q has determinant exactly 0, so then only
-    the singleton is tried.  Gram refinement may go down to tol/10; it stops at
-    the first positive determinant, so most independent sets resolve well
-    above that depth.
+    certified, each once, however many sections meet at it.  The point at
+    infinity O as the witness is torsion by definition, so it takes no
+    torsion screen and no memo entry, and certifies the live sections alone
+    (that is neron_check's use).  For a non-torsion witness the full Gram
+    certificate is attempted and, on failure, retried on the witness
+    singleton (a partial certificate beats none); a set with P = -Q has
+    determinant exactly 0, so then only the singleton is tried.  A torsion
+    witness's row shows the Gram of the live sections, so that Gram runs
+    even when two of them are negatives, though it cannot certify: skipping
+    it would change those rows' bytes.  Gram refinement may go down to
+    tol/10; it stops at the first positive determinant, so most independent
+    sets resolve well above that depth.
 
     The torsion screens and the Gram steps run on the fiber's integral
     model, which w carries with its scale u and the witness on it as ints
@@ -182,14 +181,14 @@ def certify_fiber(
     very model.  The map is a bijection from the fiber onto the model, so
     either way a point off the fiber raises PointNotOnCurve.
     """
-    gram_tol = _gram_tol(tol)
+    gram_tol = CTX.divide(tolerance(tol), Decimal(10))
     memo = {} if memo is None else memo
     declared = f.declared_generic_rank
     C, W, A, B = w.curve, w.witness, w.A, w.B
     sections = f.sections_at(w.param, C)
     live = [(point_ints(point_to_integral(P, w.u)), P) for P in sections]
     live = [(Pi, P) for Pi, P in live if not _torsion(memo, A, B, Pi)]
-    torsion = _torsion(memo, A, B, w.model_witness)
+    torsion = W.is_infinity or _torsion(memo, A, B, w.model_witness)
     # The points to certify, keyed by their point_ints on the model.  Sections
     # may meet at this parameter; a bound from distinct points is sound.
     keyed = dict(live + ([] if torsion else [(w.model_witness, W)]))

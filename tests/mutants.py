@@ -208,6 +208,14 @@ MUTANTS = (
         "stats.degenerate_skipped += 1",
         ["tests/test_families.py::test_twist_total_first_matches_double_loop"],
     ),
+    # O in the witness slot sent through the torsion screen.  No answer
+    # changes, so only the test that counts the screens can kill it.
+    (
+        "engine.py",
+        "torsion = W.is_infinity or _torsion(memo, A, B, w.model_witness)",
+        "torsion = _torsion(memo, A, B, w.model_witness)",
+        ["tests/test_engine.py::test_infinity_witness_takes_no_torsion_lookup"],
+    ),
 )
 
 

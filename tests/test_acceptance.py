@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from oracles import doubling_limit_height, small_good_primes
+from test_cli import MEETING_PENCIL
 from rankjump.cli import main as cli_main
 from rankjump.curves import (
     Curve,
@@ -476,6 +477,41 @@ def test_billing_bytes(workdir, argv):
     out = workdir / f"billing_pin_{argv[1]}.json"
     assert cli_main(["billing", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BILLING_DIGESTS[argv]
+
+
+NERON_FAMILIES = {
+    "pencil": PENCIL_JSON,
+    "meeting": MEETING_PENCIL,
+    # (0, 1) and (0, -1): negatives at every lam.
+    "negatives": {**MEETING_PENCIL, "sections": [[["0"], ["1"]], [["0"], ["-1"]]]},
+}
+
+# sha256 of the `neron --out` JSON: the reference pencil's certified and
+# exact-dependent fibers at two tolerances, and both pencils above.
+NERON_DIGESTS = {
+    ("pencil", "--bound", "15"): (
+        "17b96ae7a94981642bf2ca44ff20e73dc6f21cfb3adc5dd583566a6879b99784"
+    ),
+    ("pencil", "--bound", "6", "--tol", "1e-7"): (
+        "b05234aa1af7ed69b658170c9c6f583d9dd34a1c6ba1d22f0ae3b09c22a23092"
+    ),
+    ("meeting", "--bound", "8"): (
+        "7f2b588542bbaddd03361021c057c161990fe661352a34464ab1429883fd1e7e"
+    ),
+    ("negatives", "--bound", "4"): (
+        "487ddbb04608b3b3093e4a02b6d4adb7b51ca1219608c2f38108aeb4ae62fff6"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(NERON_DIGESTS))
+def test_neron_bytes(workdir, argv):
+    family, *args = argv
+    fam = workdir / f"neron_pin_{family}.json"
+    fam.write_text(json.dumps(NERON_FAMILIES[family]))
+    out = workdir / f"neron_pin_{'_'.join(argv)}.json"
+    assert cli_main(["neron", "--family", str(fam), *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NERON_DIGESTS[argv]
 
 
 # ---------------------------------------------------------------------------

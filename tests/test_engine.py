@@ -13,6 +13,7 @@ from oracles import reference_certify_fiber, reference_neron_check, reference_sc
 from rankjump import engine, families, heights
 from rankjump.cli import _json
 from rankjump.curves import (
+    INFINITY,
     curve,
     integral_model,
     is_torsion,
@@ -253,6 +254,23 @@ def test_torsion_witness_keeps_its_section_gram(sections):
     assert cert.status == "torsion-witness" and not cert.jump
     assert cert.gram.points == tuple(f.sections_at(lam, C))
     assert cert.gram.certified == (len(sections) == 1)
+
+
+def test_infinity_witness_takes_no_torsion_lookup(monkeypatch):
+    # O is torsion by definition, so certify_fiber screens only the section
+    # and O leaves no entry in the memo; the row is the reference's.
+    lam = Fraction(2)
+    C = fiber_at(PENCIL, lam)
+    w = TotalSpacePoint.on_model(lam, *integral_model(C), INFINITY)
+    screened = _counting(monkeypatch, "_torsion")
+    memo: dict = {}
+    cert = certify_fiber(PENCIL, w, memo=memo)
+    assert cert == reference_certify_fiber(PENCIL, w, DEFAULT_SCAN_TOL)
+    assert cert.status == "torsion-witness" and cert.certified_rank_lb == 1
+    section = point_ints(point_to_integral(PENCIL.sections_at(lam, C)[0], w.u))
+    assert [P for *_, P in screened] == [section]
+    assert (w.A, w.B, *section) in memo
+    assert all(key[-4:] != (0, 0, 0, 0) for key in memo)
 
 
 def test_scan_twist_linear():
@@ -615,7 +633,7 @@ def test_memo_hits_never_skip_the_on_curve_check():
             engine._certify_param(f, [iso, w], tol, memo)
         # and the Gram step, whose key holds the integral points too
         with pytest.raises(PointNotOnCurve):
-            engine._gram(memo, w.A, w.B, {w.model_witness: w.witness}, engine._gram_tol(tol))
+            engine._gram(memo, w.A, w.B, {w.model_witness: w.witness}, tol / 10)
     assert len(memo) == 3
 
 
