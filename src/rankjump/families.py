@@ -20,7 +20,8 @@ its dataclass fields.  What depends on the family alone (its identifier,
 a twist's depressed cubic and its curve, d(t) and the integer forms of p
 and d) is computed once per family object and cached on it;
 the cache is not a field, so equality, hashing and the JSON form ignore
-it.  Module-level code is what no single kind owns: the JSON codec,
+it.  Module-level code is what no single kind owns: the JSON decoder
+`family_from_json` (family files are read, never written),
 the `witness_stream` driver, and the public entry points `validate_family`,
 `require_valid` (the admission rule that `scan`, `neron_check` and
 `billing_build` apply before any work) and `fiber_at`.
@@ -65,7 +66,6 @@ from .polynomials import (
     RatFunc,
     degree,
     depress_cubic,
-    format_poly,
     int_form,
     int_form_eval,
     is_squarefree,
@@ -75,7 +75,6 @@ from .polynomials import (
     poly_text,
     ratfunc,
     ratfunc_from_json,
-    ratfunc_to_json,
 )
 from .rationals import (
     format_rational,
@@ -632,23 +631,17 @@ def witness_stream(
 
 # ---------------------------------------------------------------------------
 # JSON (External Interfaces): a kind's fields are exactly its dataclass
-# fields plus "kind".  Each field name has one (decode, encode) pair.
+# fields plus "kind".  Each field name has one decoder.
 
-_POLY = (parse_poly, format_poly)
-_RATIONAL = (lambda v: parse_rational(str(v)), format_rational)
-_RATFUNC = (ratfunc_from_json, ratfunc_to_json)
 _CODECS = {
-    "p": _POLY,
-    "d": _POLY,
-    "c": _RATIONAL,
-    "a": _RATIONAL,
-    "A": _RATFUNC,
-    "B": _RATFUNC,
-    "sections": (
-        lambda v: tuple((ratfunc_from_json(X), ratfunc_from_json(Y)) for X, Y in v),
-        lambda s: [[ratfunc_to_json(X), ratfunc_to_json(Y)] for X, Y in s],
-    ),
-    "generic_rank": (lambda v: v, lambda v: v),  # checked by the family itself
+    "p": parse_poly,
+    "d": parse_poly,
+    "c": lambda v: parse_rational(str(v)),
+    "a": lambda v: parse_rational(str(v)),
+    "A": ratfunc_from_json,
+    "B": ratfunc_from_json,
+    "sections": lambda v: tuple((ratfunc_from_json(X), ratfunc_from_json(Y)) for X, Y in v),
+    "generic_rank": lambda v: v,  # checked by the family itself
 }
 
 
@@ -666,18 +659,10 @@ def family_from_json(obj: dict) -> Family:
     try:
         for f in fields(cls):
             if f.name in obj:
-                kwargs[f.name] = _CODECS[f.name][0](obj[f.name])
+                kwargs[f.name] = _CODECS[f.name](obj[f.name])
             elif f.default is MISSING:
                 raise FamilyFormatError(f"missing field {f.name!r} for {kind}")
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise FamilyFormatError(str(exc)) from exc
     return cls(**kwargs)
 
-
-def family_to_json(f: Family) -> dict:
-    out = {"kind": f.kind}
-    for field in fields(f):
-        value = getattr(f, field.name)
-        if value is not None:
-            out[field.name] = _CODECS[field.name][1](value)
-    return out

@@ -142,11 +142,6 @@ def depress_cubic(p: Poly) -> tuple[Fraction, Fraction, Fraction]:
     return A, B, s
 
 
-def format_poly(p: Poly) -> list[str]:
-    """Ascending-degree list of rational strings (the JSON wire form)."""
-    return [format_rational(c) for c in p]
-
-
 def parse_poly(items: Sequence[Union[str, int]]) -> Poly:
     """Ascending coefficients; a string is rejected, not read per character."""
     if not isinstance(items, (list, tuple)):
@@ -227,10 +222,6 @@ def ratfunc(num, den=(Fraction(1),)) -> RatFunc:
         n = poly_scale(n, 1 / lc)
         d = poly_scale(d, 1 / lc)
     return RatFunc(n, d)
-
-
-def ratfunc_to_json(f: RatFunc) -> dict:
-    return {"num": format_poly(f.num), "den": format_poly(f.den)}
 
 
 def ratfunc_from_json(obj) -> RatFunc:

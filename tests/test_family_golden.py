@@ -1,11 +1,13 @@
-"""Golden values for every family kind: identifier strings, JSON wire
-form, validation finding codes and the schema errors of family_from_json.
+"""Golden values for every family kind: identifier strings, the JSON wire
+form that family_from_json decodes, validation finding codes and the
+schema errors of family_from_json.
 
 The family_id strings land in every report, so a change to any of them
 changes report bytes.
 """
 
 import re
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -17,8 +19,9 @@ from rankjump.families import (
     TwistPoly,
     TwistQuadratic,
     WeierstrassPencil,
+    _CODECS,
+    _KINDS,
     family_from_json,
-    family_to_json,
     validate_family,
 )
 from rankjump.polynomials import poly, ratfunc
@@ -30,7 +33,7 @@ PENCIL_JSON = {
     "sections": [[{"num": ["0", "1"], "den": ["1"]}, {"num": ["0", "1"], "den": ["1"]}]],
 }
 
-# (family, family_id, family_to_json, validate_family codes)
+# (family, family_id, JSON wire form, validate_family codes)
 GOLDEN = [
     (
         TwistLinear(p=poly([0, 2, 3, 1]), generic_rank=1),
@@ -105,9 +108,21 @@ GOLDEN = [
 @pytest.mark.parametrize("fam, fid, wire, codes", GOLDEN, ids=[g[1] for g in GOLDEN])
 def test_family_golden(fam, fid, wire, codes):
     assert fam.family_id == fid
-    assert family_to_json(fam) == wire
     assert family_from_json(wire) == fam
     assert [(f.severity, f.code) for f in validate_family(fam)] == codes
+
+
+def test_every_field_has_one_decoder():
+    assert {f.name for cls in _KINDS.values() for f in fields(cls)} == set(_CODECS)
+    assert {wire["kind"] for _, _, wire, _ in GOLDEN} == set(_KINDS)
+
+
+def test_rationals_read_json_integers_but_refuse_floats():
+    # The decoders read str(v): a JSON integer is a rational, a float is not.
+    strings = {"kind": "twist_quadratic", "c": "1", "a": "-1", "p": ["1", "0", "0", "1"]}
+    integers = {"kind": "twist_quadratic", "c": 1, "a": -1, "p": [1, 0, 0, 1]}
+    assert family_from_json(integers) == family_from_json(strings)
+    _format_error({**integers, "c": 0.5}, "not a rational: '0.5'")
 
 
 def _format_error(obj, message):

@@ -8,7 +8,6 @@ from rankjump.factorization import squarefree_part, squarefree_part_of_rational
 from rankjump.polynomials import (
     degree,
     depress_cubic,
-    format_poly,
     int_form,
     int_form_eval,
     is_squarefree,
@@ -21,7 +20,6 @@ from rankjump.polynomials import (
     poly_mul,
     ratfunc,
     ratfunc_from_json,
-    ratfunc_to_json,
 )
 
 X3_MINUS_X = poly([0, -1, 0, 1])
@@ -136,10 +134,10 @@ def test_ratfunc_normalization():
 
 def test_ratfunc_json_roundtrip():
     f = ratfunc([1, 2, 3], [0, 0, 1])
-    assert ratfunc_from_json(ratfunc_to_json(f)) == f
+    assert ratfunc_from_json({"num": ["1", "2", "3"], "den": ["0", "0", "1"]}) == f
     assert ratfunc_from_json(["1", "1/2"]) == ratfunc([1, Fraction(1, 2)])
 
 
 def test_poly_wire_roundtrip():
     p = poly([Fraction(1, 2), 0, -3])
-    assert parse_poly(format_poly(p)) == p
+    assert parse_poly(["1/2", "0", "-3"]) == p
